@@ -19,7 +19,7 @@
 //! corpus pass with the collector enabled must stay within 3% of the
 //! disabled-collector wall time, the interner probe/hit/collision
 //! counters must show the interning actually paying off (every state
-//! revisit is a cheap probe hit, load factor capped at 7/8), and the
+//! revisit is a cheap probe hit, load factor capped at 3/4), and the
 //! full counter snapshot lands in the JSON report under `"stats"`.
 
 use std::hint::black_box;
@@ -158,7 +158,7 @@ fn measure_metrics_overhead(corpus: &[(String, Program)], reps: usize) -> (f64, 
 }
 
 /// The interning-quality claim, read off the counters: the interner is
-/// doing real dedup work (hits), stays under its 7/8 load-factor cap,
+/// doing real dedup work (hits), stays under its 3/4 load-factor cap,
 /// and chains stay short enough that probing is cheap on average.
 fn assert_interning_quality(stats: &ExploreStats) {
     assert!(stats.enabled, "overhead pass ran with a dead collector");
@@ -173,10 +173,10 @@ fn assert_interning_quality(stats: &ExploreStats) {
     );
     let lf = stats.load_factor();
     assert!(
-        lf > 0.0 && lf <= 0.875,
-        "load factor {lf} outside (0, 7/8]: growth policy regressed"
+        lf > 0.0 && lf <= 0.75,
+        "load factor {lf} outside (0, 3/4]: growth policy regressed"
     );
-    // Collision chains: with FxHash + the 7/8 growth cap, the average
+    // Collision chains: with FxHash + the 3/4 growth cap, the average
     // probe should walk well under two extra slots on this corpus.
     assert!(
         stats.intern_collisions < 2 * stats.intern_probes,

@@ -23,6 +23,7 @@ use std::io::Cursor;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use transafety::serve::proto::{json_escape, parse_request};
 use transafety::serve::{FaultPlan, ServeConfig, Server};
 use transafety::Analysis;
 use transafety_litmus::{corpus, random_program, GeneratorConfig};
@@ -61,18 +62,14 @@ fn program_pool() -> Vec<String> {
     pool
 }
 
-fn escape(src: &str) -> String {
-    src.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', " ")
-}
-
 fn main() {
     let n = request_count();
     let pool = program_pool();
     let models = ["sc", "tso", "pso"];
 
     let mut input = String::with_capacity(n * 96);
+    // The program each line carries (`None` for the malformed ones).
+    let mut sources: Vec<Option<&str>> = Vec::with_capacity(n);
     let mut malformed = 0usize;
     let mut budget_probes = 0usize;
     for i in 0..n {
@@ -81,6 +78,7 @@ fn main() {
             // with an explicit parse error, never drop it.
             9 => {
                 input.push_str(&format!("{{\"id\":\"bad{i}\",\"nonsense\":1}}\n"));
+                sources.push(None);
                 malformed += 1;
             }
             // One budget-tripping probe per decade: degraded traffic
@@ -93,8 +91,9 @@ fn main() {
                 let prog = &pool[i / 10 % pool.len()];
                 input.push_str(&format!(
                     "{{\"id\":\"q{i}\",\"program\":\"{}\",\"max_states\":1,\"por\":false}}\n",
-                    escape(prog)
+                    json_escape(prog)
                 ));
+                sources.push(Some(prog));
                 budget_probes += 1;
             }
             slot => {
@@ -102,10 +101,25 @@ fn main() {
                 let model = models[(i / 10 + slot) % models.len()];
                 input.push_str(&format!(
                     "{{\"id\":\"q{i}\",\"program\":\"{}\",\"model\":\"{}\"}}\n",
-                    escape(prog),
+                    json_escape(prog),
                     model
                 ));
+                sources.push(Some(prog));
             }
+        }
+    }
+    // Every request line must carry its program intact: a lossy escape
+    // (newlines folded to spaces, say) turns the generator's
+    // `// thread 0` comment into one that swallows the whole source.
+    for (line, source) in input.lines().zip(&sources) {
+        let decoded = parse_request(line);
+        match source {
+            Some(src) => assert_eq!(
+                decoded.expect("generated request parses").program,
+                *src,
+                "request line does not round-trip its program: {line}"
+            ),
+            None => assert!(decoded.is_err(), "malformed line parsed: {line}"),
         }
     }
 
@@ -194,8 +208,9 @@ fn main() {
         summary
             .stats
             .to_json()
-            .trim_start_matches('{')
-            .trim_end_matches('}')
+            .strip_prefix('{')
+            .and_then(|j| j.strip_suffix('}'))
+            .expect("stats JSON is one object")
     );
     println!("{report}");
     eprintln!(

@@ -57,7 +57,7 @@ pub use guarantee::{
 pub use oota::{no_thin_air, traceset_has_origin, OotaVerdict};
 #[allow(deprecated)]
 pub use options::CheckOptions;
-pub use options::{Analysis, AnalysisReport, Verdict};
+pub use options::{Analysis, AnalysisReport, CensusReport, Verdict};
 pub use transafety_interleaving::{
     Budget, BudgetBound, CancelToken, Completeness, ExploreStats, TraceEvent, TruncationReason,
 };

@@ -11,6 +11,7 @@
 //! `CheckOptions` remains as a deprecated alias so existing code keeps
 //! compiling.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use transafety_interleaving::{
@@ -238,9 +239,12 @@ impl Analysis {
         }
     }
 
-    /// Runs the full single-program analysis — behaviours, race search
-    /// and state census — on [`jobs`](Analysis::jobs) workers, under
-    /// [`budget`](Analysis::budget).
+    /// Runs the single-program analysis — behaviour evaluation, then
+    /// the race search — on [`jobs`](Analysis::jobs) workers, under
+    /// [`budget`](Analysis::budget). These two phases answer the
+    /// paper's questions (is the program DRF, what can it print); the
+    /// unreduced reachable-state census is a separate operation,
+    /// [`census`](Analysis::census), that a caller asks for.
     #[must_use]
     pub fn run(&self, program: &Program) -> AnalysisReport {
         self.run_with_cancel(program, CancelToken::new())
@@ -260,50 +264,21 @@ impl Analysis {
     /// exactly how far the analysis got and what stopped it.
     #[must_use]
     pub fn run_with_cancel(&self, program: &Program, cancel: CancelToken) -> AnalysisReport {
-        let collector = if self.metrics {
-            ExploreMetrics::collector()
-        } else {
-            ExploreMetrics::disabled()
-        };
-        let guard = BudgetGuard::with_metrics(&self.budget, cancel, collector.clone());
-        let (behaviours, model_race, reachable_states) = match self.model {
-            MemoryModelKind::Sc => {
-                let ex = ProgramExplorer::new(program);
-                let model = ScModel::new(&ex);
-                run_phases(
-                    &ModelExplorer::new(&model),
-                    &self.explore,
-                    self.jobs,
-                    &guard,
-                )
-            }
-            MemoryModelKind::Tso => {
-                let model = TsoModel::new(program);
-                run_phases(
-                    &ModelExplorer::new(&model),
-                    &self.explore,
-                    self.jobs,
-                    &guard,
-                )
-            }
-            MemoryModelKind::Pso => {
-                let model = PsoModel::new(program);
-                run_phases(
-                    &ModelExplorer::new(&model),
-                    &self.explore,
-                    self.jobs,
-                    &guard,
-                )
-            }
-        };
+        let (guard, collector) = self.governor(cancel);
+        let (behaviours, model_race) = with_model(
+            program,
+            self.model,
+            VerdictPhases {
+                explore: &self.explore,
+                jobs: self.jobs,
+                guard: &guard,
+            },
+        );
         let (race, race_schedule) = match model_race {
             Some(w) => (Some(w.witness), Some(w.schedule)),
             None => (None, None),
         };
-        let completeness = match guard.trip_reason() {
-            None => Completeness::Complete,
-            Some(reason) => Completeness::Truncated { reason },
-        };
+        let completeness = completeness_of(&guard);
         let verdict = if race.is_some() {
             // A witness in hand is conclusive no matter what was cut
             // short afterwards.
@@ -313,18 +288,10 @@ impl Analysis {
         } else {
             Verdict::Unknown
         };
-        let mut stats = collector.snapshot();
-        if stats.enabled {
-            // Stamp the backend onto a *live* collector only: a
-            // metrics-off run must keep returning pristine default
-            // stats (the observer invariant).
-            stats.model = self.model.as_str().to_string();
-        }
         AnalysisReport {
             behaviours,
             race,
             race_schedule,
-            reachable_states,
             model: self.model,
             jobs: self.jobs,
             completeness,
@@ -332,25 +299,139 @@ impl Analysis {
             states_explored: guard.states(),
             faults: guard.faults(),
             elapsed: guard.elapsed(),
-            stats,
+            stats: self.stamped(&collector),
+        }
+    }
+
+    /// Counts the distinct reachable model states (under TSO/PSO buffer
+    /// contents count too) on [`jobs`](Analysis::jobs) workers, under
+    /// [`budget`](Analysis::budget). The walk is unreduced by design —
+    /// the count is a diagnostic of the state space, not of any
+    /// reduction — so it is typically the costliest phase, and
+    /// [`run`](Analysis::run) never performs it.
+    #[must_use]
+    pub fn census(&self, program: &Program) -> CensusReport {
+        self.census_with_cancel(program, CancelToken::new())
+    }
+
+    /// [`census`](Analysis::census) with an externally held
+    /// [`CancelToken`], with the same graceful-exit contract as
+    /// [`run_with_cancel`](Analysis::run_with_cancel): a truncated
+    /// count is a lower bound and says which bound stopped it.
+    #[must_use]
+    pub fn census_with_cancel(&self, program: &Program, cancel: CancelToken) -> CensusReport {
+        let (guard, collector) = self.governor(cancel);
+        let reachable_states = with_model(
+            program,
+            self.model,
+            Census {
+                explore: &self.explore,
+                jobs: self.jobs,
+                guard: &guard,
+            },
+        );
+        CensusReport {
+            reachable_states,
+            model: self.model,
+            jobs: self.jobs,
+            completeness: completeness_of(&guard),
+            states_explored: guard.states(),
+            faults: guard.faults(),
+            elapsed: guard.elapsed(),
+            stats: self.stamped(&collector),
+        }
+    }
+
+    /// The budget governor for one operation, with a live collector
+    /// exactly when [`metrics`](Analysis::metrics) is on.
+    fn governor(&self, cancel: CancelToken) -> (BudgetGuard, Arc<ExploreMetrics>) {
+        let collector = if self.metrics {
+            ExploreMetrics::collector()
+        } else {
+            ExploreMetrics::disabled()
+        };
+        let guard = BudgetGuard::with_metrics(&self.budget, cancel, collector.clone());
+        (guard, collector)
+    }
+
+    /// The collector's snapshot, stamped with the backend.
+    fn stamped(&self, collector: &ExploreMetrics) -> ExploreStats {
+        let mut stats = collector.snapshot();
+        if stats.enabled {
+            // Stamp the backend onto a *live* collector only: a
+            // metrics-off run must keep returning pristine default
+            // stats (the observer invariant).
+            stats.model = self.model.as_str().to_string();
+        }
+        stats
+    }
+}
+
+/// How far an operation got: complete unless the guard tripped.
+fn completeness_of(guard: &BudgetGuard) -> Completeness {
+    match guard.trip_reason() {
+        None => Completeness::Complete,
+        Some(reason) => Completeness::Truncated { reason },
+    }
+}
+
+/// One operation over whichever [`ModelExplorer`] the configured
+/// [`MemoryModelKind`] selects (see [`with_model`]).
+trait ModelTask {
+    type Output;
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>) -> Self::Output;
+}
+
+/// The single dispatch from [`MemoryModelKind`] to a backend.
+fn with_model<T: ModelTask>(program: &Program, model: MemoryModelKind, task: T) -> T::Output {
+    match model {
+        MemoryModelKind::Sc => {
+            let ex = ProgramExplorer::new(program);
+            let sc = ScModel::new(&ex);
+            task.run(&ModelExplorer::new(&sc))
+        }
+        MemoryModelKind::Tso => {
+            let tso = TsoModel::new(program);
+            task.run(&ModelExplorer::new(&tso))
+        }
+        MemoryModelKind::Pso => {
+            let pso = PsoModel::new(program);
+            task.run(&ModelExplorer::new(&pso))
         }
     }
 }
 
-/// Runs the three analysis phases — behaviours, race search, state
-/// census — through one [`MemoryModel`] backend, sharing the budget
-/// governor across all of them exactly as the historical SC pipeline
-/// did.
-fn run_phases<M: MemoryModel>(
-    mx: &ModelExplorer<'_, M>,
-    explore: &ExploreOptions,
+/// The verdict path: behaviour evaluation, then the race search, on one
+/// shared budget governor.
+struct VerdictPhases<'a> {
+    explore: &'a ExploreOptions,
     jobs: usize,
-    guard: &BudgetGuard,
-) -> (Bounded<Behaviours>, Option<ModelRaceWitness>, usize) {
-    let behaviours = mx.behaviours_par_governed(explore, jobs, guard);
-    let race = mx.race_witness_par_governed(explore, jobs, guard);
-    let reachable = mx.count_reachable_states_par_governed(explore, jobs, guard);
-    (behaviours, race, reachable)
+    guard: &'a BudgetGuard,
+}
+
+impl ModelTask for VerdictPhases<'_> {
+    type Output = (Bounded<Behaviours>, Option<ModelRaceWitness>);
+
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>) -> Self::Output {
+        let behaviours = mx.behaviours_par_governed(self.explore, self.jobs, self.guard);
+        let race = mx.race_witness_par_governed(self.explore, self.jobs, self.guard);
+        (behaviours, race)
+    }
+}
+
+/// The unreduced reachable-state census.
+struct Census<'a> {
+    explore: &'a ExploreOptions,
+    jobs: usize,
+    guard: &'a BudgetGuard,
+}
+
+impl ModelTask for Census<'_> {
+    type Output = usize;
+
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>) -> usize {
+        mx.count_reachable_states_par_governed(self.explore, self.jobs, self.guard)
+    }
 }
 
 /// The three-valued outcome of the race analysis: a bounded checker
@@ -394,9 +475,6 @@ pub struct AnalysisReport {
     /// the [`RaceWitness`] event path abstracts away. `Some` exactly
     /// when [`race`](AnalysisReport::race) is.
     pub race_schedule: Option<Vec<ScheduleStep>>,
-    /// The number of distinct reachable program states (model states:
-    /// under TSO/PSO this counts buffer contents too).
-    pub reachable_states: usize,
     /// The memory model the analysis explored under.
     pub model: MemoryModelKind,
     /// The worker count the analysis ran with.
@@ -433,6 +511,34 @@ impl AnalysisReport {
     pub fn is_data_race_free(&self) -> bool {
         self.race.is_none()
     }
+}
+
+/// The result of [`Analysis::census`]: the reachable-state count and
+/// how far the walk got.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CensusReport {
+    /// The number of distinct reachable program states (model states:
+    /// under TSO/PSO this counts buffer contents too). A lower bound
+    /// when [`completeness`](CensusReport::completeness) is truncated.
+    pub reachable_states: usize,
+    /// The memory model the census walked.
+    pub model: MemoryModelKind,
+    /// The worker count the census ran with.
+    pub jobs: usize,
+    /// Did the walk run to completion, and if not, which bound (or
+    /// fault) stopped it?
+    pub completeness: Completeness,
+    /// States counted by the budget governor (`0` when the budget is
+    /// unlimited).
+    pub states_explored: usize,
+    /// Quarantined worker panics recovered by degrading to the
+    /// sequential engine.
+    pub faults: usize,
+    /// Wall-clock time the census took.
+    pub elapsed: Duration,
+    /// Exploration metrics, populated when the census ran with
+    /// [`Analysis::metrics`]`(true)`.
+    pub stats: ExploreStats,
 }
 
 /// The pre-0.2 name of [`Analysis`].
@@ -492,7 +598,10 @@ mod tests {
             seq.race, par.race,
             "witness is canonical, not schedule-dependent"
         );
-        assert_eq!(seq.reachable_states, par.reachable_states);
+        assert_eq!(
+            Analysis::new().census(&program).reachable_states,
+            Analysis::new().jobs(4).census(&program).reachable_states
+        );
         assert_eq!(seq.completeness, par.completeness);
         assert_eq!(seq.verdict, par.verdict);
         assert!(!par.is_data_race_free());
@@ -544,7 +653,10 @@ mod tests {
         assert!(!sc.behaviours.value.contains(&zz));
         assert!(tso.behaviours.value.contains(&zz));
         // Model states include buffer contents, so the census grows.
-        assert!(tso.reachable_states > sc.reachable_states);
+        let sc_census = Analysis::new().census(&program);
+        let tso_census = Analysis::new().model(MemoryModelKind::Tso).census(&program);
+        assert_eq!(tso_census.model, MemoryModelKind::Tso);
+        assert!(tso_census.reachable_states > sc_census.reachable_states);
     }
 
     #[test]
@@ -579,6 +691,50 @@ mod tests {
         assert!(report.stats.to_json().contains("\"model\":\"pso\""));
         let sc = Analysis::new().metrics(true).run(&program);
         assert_eq!(sc.stats.model, "sc");
+    }
+
+    #[test]
+    fn run_records_no_census_phase() {
+        let program = parse_program("x := 1; || r0 := x; r1 := x; print r1;")
+            .unwrap()
+            .program;
+        for model in MemoryModelKind::ALL {
+            for jobs in [1, 2] {
+                let report = Analysis::new()
+                    .metrics(true)
+                    .model(model)
+                    .jobs(jobs)
+                    .run(&program);
+                assert_eq!(report.stats.census_nanos, 0, "{model} jobs={jobs}");
+                assert!(
+                    report
+                        .stats
+                        .events
+                        .iter()
+                        .all(|e| !e.label.contains("census")),
+                    "{model} jobs={jobs}: census event in {:?}",
+                    report.stats.events
+                );
+                assert!(report.stats.race_search_nanos > 0, "{model} jobs={jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn census_is_its_own_governed_phase() {
+        let program = parse_program("x := 1; || r0 := x; r1 := x; print r1;")
+            .unwrap()
+            .program;
+        let census = Analysis::new().metrics(true).census(&program);
+        assert!(census.completeness.is_complete());
+        assert!(census.reachable_states > 1);
+        assert!(census.stats.census_nanos > 0);
+        assert_eq!(census.stats.behaviour_eval_nanos, 0);
+        assert_eq!(census.stats.race_search_nanos, 0);
+        assert_eq!(census.stats.model, "sc");
+        let capped = Analysis::new().max_states(1).census(&program);
+        assert!(!capped.completeness.is_complete());
+        assert!(capped.reachable_states < census.reachable_states);
     }
 
     #[test]

@@ -34,6 +34,18 @@ fn injected_worker_panic_degrades_to_sequential_and_completes() {
     );
     assert_eq!(report.behaviours, reference.behaviours);
     assert_eq!(report.race, reference.race);
-    assert_eq!(report.reachable_states, reference.reachable_states);
     assert_eq!(report.verdict, Verdict::DrfProven);
+
+    // The census recovers the same way, on its own governor.
+    let reference = Analysis::new().jobs(4).census(&program);
+    assert!(reference.completeness.is_complete());
+    assert_eq!(reference.faults, 0);
+    par::arm_worker_panic();
+    let census = Analysis::new().jobs(4).census(&program);
+    assert!(
+        census.faults >= 1,
+        "the injected census panic must be quarantined and counted"
+    );
+    assert!(census.completeness.is_complete());
+    assert_eq!(census.reachable_states, reference.reachable_states);
 }

@@ -4,6 +4,7 @@
 //! ```console
 //! $ drfcheck races program.tsl
 //! $ drfcheck --model tso check program.tsl
+//! $ drfcheck --model pso states program.tsl
 //! $ drfcheck behaviours program.tsl
 //! $ drfcheck --jobs 8 guarantee original.tsl transformed.tsl
 //! $ drfcheck correspondence original.tsl transformed.tsl
@@ -21,19 +22,20 @@
 //! sequential reference driver — results are identical either way).
 //!
 //! `--model sc|tso|pso` selects the memory model the analysis commands
-//! (`check`, `races`, `behaviours`) explore under: the sequentially
-//! consistent baseline (default) or the store-buffering machines of §8.
+//! (`check`, `states`, `races`, `behaviours`) explore under: the
+//! sequentially consistent baseline (default) or the store-buffering
+//! machines of §8.
 //!
-//! The analysis commands (`check`, `races`, `behaviours`, `executions`)
-//! run under a resource budget: `--timeout SECS` bounds wall-clock time,
-//! `--max-states N` caps explored states, `--max-interleavings N` caps
-//! execution enumeration, and `Ctrl-C` cancels cooperatively. Exceeding
-//! any bound never loses the work done so far — the partial result is
-//! flushed, the truncation reason (which bound tripped, how many states
-//! were explored, elapsed time) goes to stderr, and the exit code says
-//! what happened: `3` for a cap, `4` for timeout or interruption, `5`
-//! when a crashed worker was quarantined and the analysis completed on
-//! the sequential fallback engine.
+//! The analysis commands (`check`, `states`, `races`, `behaviours`,
+//! `executions`) run under a resource budget: `--timeout SECS` bounds
+//! wall-clock time, `--max-states N` caps explored states,
+//! `--max-interleavings N` caps execution enumeration, and `Ctrl-C`
+//! cancels cooperatively. Exceeding any bound never loses the work done
+//! so far — the partial result is flushed, the truncation reason (which
+//! bound tripped, how many states were explored, elapsed time) goes to
+//! stderr, and the exit code says what happened: `3` for a cap, `4` for
+//! timeout or interruption, `5` when a crashed worker was quarantined
+//! and the analysis completed on the sequential fallback engine.
 //!
 //! Program files use the concrete syntax of the paper's §6 language (see
 //! `transafety::lang::parse_program`); a corpus name (e.g. `sb`) can be
@@ -186,6 +188,7 @@ fn usage() -> ExitCode {
          <command> [args]\n\
          commands:\n  \
            check <program>                      full analysis report (three-valued verdict)\n  \
+           states <program>                     count the reachable states (unreduced census)\n  \
            races <program>                      find a data race\n  \
            behaviours <program>                 print all SC behaviours\n  \
            executions <program>                 enumerate maximal SC executions\n  \
@@ -202,7 +205,7 @@ fn usage() -> ExitCode {
            fuzz [fuzz flags]                    differential refinement fuzzing: random\n                                       \
                                                 (program × pipeline) pairs, shrink on failure\n\
          flags:\n  \
-           --model sc|tso|pso     memory model for check/races/behaviours (default: sc;\n                         \
+           --model sc|tso|pso     memory model for check/states/races/behaviours (default: sc;\n                         \
                                   tso/pso explore the §8 store-buffer machines, POR off)\n  \
            --jobs N               worker threads (default: all cores; 1 = sequential)\n  \
            --timeout SECS         wall-clock budget for the analysis commands\n  \
@@ -332,6 +335,14 @@ fn degraded_exit(
         Some(ExitCode::from(EXIT_FAULT_RECOVERED))
     } else {
         None
+    }
+}
+
+/// The truncation reason of a report, if any.
+fn truncation(completeness: Completeness) -> Option<TruncationReason> {
+    match completeness {
+        Completeness::Complete => None,
+        Completeness::Truncated { reason } => Some(reason),
     }
 }
 
@@ -789,7 +800,6 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                     " (bounded)"
                 }
             );
-            println!("reachable states: {}", report.reachable_states);
             println!("completeness: {}", report.completeness);
             if let Some(w) = &report.race {
                 println!("{w}");
@@ -798,12 +808,8 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                 }
             }
             stats.emit(&report.stats)?;
-            let reason = match report.completeness {
-                Completeness::Complete => None,
-                Completeness::Truncated { reason } => Some(reason),
-            };
             if let Some(code) = degraded_exit(
-                reason,
+                truncation(report.completeness),
                 report.faults,
                 report.states_explored,
                 report.elapsed,
@@ -814,6 +820,21 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                 Verdict::Racy => ExitCode::FAILURE,
                 Verdict::DrfProven | Verdict::Unknown => ExitCode::SUCCESS,
             })
+        }
+        Some("states") if args.len() == 2 => {
+            let p = load(&args[1])?;
+            let report = opts.census_with_cancel(&p.program, cancel_token().clone());
+            println!("model: {}", report.model);
+            println!("reachable states: {}", report.reachable_states);
+            println!("completeness: {}", report.completeness);
+            stats.emit(&report.stats)?;
+            Ok(degraded_exit(
+                truncation(report.completeness),
+                report.faults,
+                report.states_explored,
+                report.elapsed,
+            )
+            .unwrap_or(ExitCode::SUCCESS))
         }
         Some("races") if args.len() == 2 => {
             let p = load(&args[1])?;

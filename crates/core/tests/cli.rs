@@ -111,6 +111,73 @@ fn check_reports_three_valued_verdicts() {
 }
 
 #[test]
+fn states_matches_the_census_engine_and_check_skips_it() {
+    use transafety::lang::{
+        parse_program, ExploreOptions, ModelExplorer, ProgramExplorer, ScModel,
+    };
+    use transafety::tso::{PsoModel, TsoModel};
+    use transafety::MemoryModelKind;
+
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../programs");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("programs/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tsl"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty());
+    let opts = ExploreOptions::default();
+    for path in &files {
+        let file = path.to_str().expect("utf-8 path");
+        let source = std::fs::read_to_string(path).expect("program readable");
+        let program = parse_program(&source).expect("program parses").program;
+        for model in MemoryModelKind::ALL {
+            let expected = match model {
+                MemoryModelKind::Sc => {
+                    let ex = ProgramExplorer::new(&program);
+                    let sc = ScModel::new(&ex);
+                    ModelExplorer::new(&sc).count_reachable_states(&opts)
+                }
+                MemoryModelKind::Tso => {
+                    ModelExplorer::new(&TsoModel::new(&program)).count_reachable_states(&opts)
+                }
+                MemoryModelKind::Pso => {
+                    ModelExplorer::new(&PsoModel::new(&program)).count_reachable_states(&opts)
+                }
+            };
+            let (out, err, code) = drfcheck_full(&["--model", model.as_str(), "states", file]);
+            assert_eq!(code, Some(0), "{file} {model}: {out}{err}");
+            assert!(
+                out.contains("completeness: complete"),
+                "{file} {model}: {out}"
+            );
+            assert!(
+                out.lines()
+                    .any(|l| l == format!("reachable states: {expected}")),
+                "{file} {model}: expected {expected} states: {out}"
+            );
+        }
+        let (out, _, _) = drfcheck_full(&["check", file]);
+        assert!(out.contains("verdict:"), "{file}: {out}");
+        assert!(!out.contains("reachable states"), "{file}: {out}");
+    }
+}
+
+#[test]
+fn states_honours_the_budget_flags() {
+    let (out, err, code) = drfcheck_full(&["--max-states", "2", "states", "sb"]);
+    assert_eq!(code, Some(3), "{out}{err}");
+    assert!(out.contains("completeness: truncated"), "{out}");
+    assert!(err.contains("analysis truncated"), "{err}");
+    let path = exponential_program_file();
+    let (out, _, code) = drfcheck_full(&["--timeout", "0.2", "states", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, Some(4), "{out}");
+    let (_, _, code) = drfcheck_full(&["--model", "arm", "states", "sb"]);
+    assert_eq!(code, Some(2));
+}
+
+#[test]
 fn no_por_flag_agrees_with_default() {
     for prog in ["sb", "sb-volatile"] {
         let (reduced, _, code_reduced) = drfcheck_full(&["check", prog]);

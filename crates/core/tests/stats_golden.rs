@@ -224,15 +224,34 @@ fn trace_out_writes_the_event_dump() {
     let path = repo_path("programs/private_staging.tsl");
     let trace = std::env::temp_dir().join(format!("drfcheck-trace-{}.tsv", std::process::id()));
     let trace_path = trace.to_str().expect("utf-8 temp path").to_owned();
-    let (_, stderr, code) = drfcheck(&["--trace-out", &trace_path, "check", &path]);
-    let dump = std::fs::read_to_string(&trace);
-    let _ = std::fs::remove_file(&trace);
-    let dump = dump.expect("--trace-out file written");
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(dump.starts_with("# drfcheck trace:"), "{dump}");
+    let dump_of = |cmd: &str| {
+        let (_, stderr, code) = drfcheck(&["--trace-out", &trace_path, cmd, &path]);
+        let dump = std::fs::read_to_string(&trace);
+        let _ = std::fs::remove_file(&trace);
+        let dump = dump.expect("--trace-out file written");
+        assert_eq!(code, Some(0), "{cmd} stderr: {stderr}");
+        assert!(dump.starts_with("# drfcheck trace:"), "{dump}");
+        dump
+    };
+    let dump = dump_of("states");
     assert!(
-        dump.contains("phase_start:behaviour_eval") && dump.contains("phase_end:census"),
-        "phase markers missing from the dump: {dump}"
+        dump.contains("phase_start:census") && dump.contains("phase_end:census"),
+        "census phase markers missing from the states dump: {dump}"
+    );
+    // `check` runs behaviours then the race search, and nothing after.
+    let dump = dump_of("check");
+    assert!(
+        dump.contains("phase_start:behaviour_eval"),
+        "phase markers missing from the check dump: {dump}"
+    );
+    assert!(!dump.contains("census"), "check ran the census: {dump}");
+    let last = dump
+        .lines()
+        .rfind(|l| l.contains("phase_end:"))
+        .expect("a phase ended");
+    assert!(
+        last.contains("phase_end:race_search"),
+        "check must end at the race search: {dump}"
     );
 }
 

@@ -457,12 +457,16 @@ fn finish<T>(faults: FaultLog, queue: &TaskQueue<T>) -> PoolOutcome {
 const SHARD_BITS: u32 = 6;
 const SHARDS: usize = 1 << SHARD_BITS; // 64
 
-/// The shard of a pre-computed [`fx_hash`] value: the top `SHARD_BITS`
-/// bits, disjoint from the low bits the open-addressing probe consumes.
-/// Callers hash once and reuse the value for both shard selection and
-/// the in-shard probe.
+/// The shard of a pre-computed [`fx_hash`] value. The in-shard probe
+/// ([`StateInterner`]'s home slot) indexes from the hash's *top* bits,
+/// so the shard must not: taking them would send every key of a shard
+/// to the same 1/`SHARDS` of its table. One extra multiply remixes the
+/// hash, so the shard's bits vary independently of the slot's top
+/// bits. Callers hash once and reuse the value for both shard
+/// selection and the in-shard probe.
+#[inline]
 fn shard_of_hash(hash: u64) -> usize {
-    (hash >> (64 - SHARD_BITS)) as usize
+    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_BITS)) as usize
 }
 
 struct InternShard<K> {
@@ -975,6 +979,37 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sharded_interner_keeps_probe_chains_short() {
+        // Shard selection must not reuse the bits the in-shard home slot
+        // indexes from: if it does, every key of a shard lands in the
+        // same 1/SHARDS of that shard's table and the mean probe chain
+        // grows with the table (hundreds of slots at this size).
+        let interner: Interner<u64> = Interner::new();
+        let n: u64 = 100_000;
+        for i in 0..n {
+            assert!(interner.intern(&i).1, "{i} is new");
+        }
+        // Exploration revisits states: every key once more, as a hit.
+        for i in 0..n {
+            assert!(!interner.intern(&i).1, "{i} was interned");
+        }
+        let stats = interner
+            .shards
+            .iter()
+            .fold(InternStats::default(), |acc, s| {
+                acc.merged(s.lock().expect("shard").states.probe_stats())
+            });
+        assert_eq!(stats.keys, n);
+        assert!(
+            stats.collisions <= 2 * stats.probes,
+            "mean probe chain {:.2} ({} collisions over {} probes)",
+            stats.collisions as f64 / stats.probes as f64,
+            stats.collisions,
+            stats.probes
+        );
+    }
 
     #[test]
     fn parallel_map_preserves_order() {

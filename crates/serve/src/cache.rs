@@ -163,7 +163,10 @@ pub struct CacheEntry {
     /// Whether the behaviour set was exact (it always is for a cached
     /// complete run; kept explicit for the response contract).
     pub behaviours_complete: bool,
-    /// Distinct reachable model states.
+    /// Distinct reachable model states. Serve never runs the census, so
+    /// it stores `0` ("not counted": every program has at least one
+    /// state); the key stays in the payload for format compatibility
+    /// and is ignored on load.
     pub reachable_states: u64,
 }
 
@@ -209,7 +212,7 @@ impl CacheEntry {
             behaviours_complete: get("behaviours_complete")?
                 .as_bool()
                 .ok_or("behaviours_complete is not a boolean")?,
-            reachable_states: number("reachable_states")?,
+            reachable_states: 0,
         })
     }
 }
@@ -355,8 +358,31 @@ mod tests {
             verdict: "racy".to_string(),
             behaviours: 3,
             behaviours_complete: true,
-            reachable_states: 11,
+            reachable_states: 0,
         }
+    }
+
+    #[test]
+    fn a_stored_state_count_is_ignored_on_load() {
+        let cache = VerdictCache::open(tmp_dir("census")).unwrap();
+        let p = parse_program("x := 1; || r0 := x; print r0;")
+            .unwrap()
+            .program;
+        let key = CacheKey::new(&p, "fp");
+        let entry = entry_for(&p, "fp");
+        // An entry written when serve still ran the census.
+        let counted = CacheEntry {
+            reachable_states: 11,
+            ..entry.clone()
+        };
+        let path = cache.store(key, &counted).unwrap();
+        assert!(fs::read_to_string(&path)
+            .unwrap()
+            .contains("\"reachable_states\":11"));
+        assert_eq!(
+            cache.load(key, &p.to_string(), "fp"),
+            CacheLookup::Hit(entry)
+        );
     }
 
     #[test]

@@ -288,7 +288,7 @@ pub fn json_escape(s: &str) -> String {
 /// intent; every response carries the full result either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Cmd {
-    /// Full report: verdict + behaviours + census.
+    /// Full report: verdict + behaviours.
     #[default]
     Check,
     /// Race search focus.

@@ -538,7 +538,9 @@ impl Server {
                     verdict: verdict_str(report.verdict).to_string(),
                     behaviours: report.behaviours.value.len() as u64,
                     behaviours_complete: report.behaviours.complete,
-                    reachable_states: report.reachable_states as u64,
+                    // Serve never runs the census; 0 marks the count
+                    // as absent (a program always has at least 1 state).
+                    reachable_states: 0,
                 };
                 if let Ok(path) = cache.store(key, &entry) {
                     lock(&self.stats).cache_writes += 1;
@@ -552,6 +554,11 @@ impl Server {
         self.respond_report(job, &report, retried);
     }
 
+    /// Answers `ok` with the fields `id`, `status`, `cmd`, `model`,
+    /// `verdict`, `racy`, `behaviours`, `behaviours_complete`,
+    /// `completeness`, `cached`, `retried`, `engine_faults` and
+    /// `elapsed_micros`. There is no state count: the service never
+    /// runs the reachable-state census.
     fn respond_report(&self, job: &Job, report: &AnalysisReport, retried: bool) {
         // The three-valued discipline, re-checked at the service
         // boundary: a proof may only ever leave the process on a
@@ -576,7 +583,7 @@ impl Server {
         let line = format!(
             "{{\"id\":\"{}\",\"status\":\"ok\",\"cmd\":\"{}\",\"model\":\"{}\",\
              \"verdict\":\"{}\",\"racy\":{},\"behaviours\":{},\"behaviours_complete\":{},\
-             \"reachable_states\":{},\"completeness\":\"{}\",\"cached\":false,\
+             \"completeness\":\"{}\",\"cached\":false,\
              \"retried\":{},\"engine_faults\":{},\"elapsed_micros\":{}}}",
             json_escape(&job.id),
             job.req.cmd.as_str(),
@@ -585,7 +592,6 @@ impl Server {
             report.race.is_some(),
             report.behaviours.value.len(),
             report.behaviours.complete,
-            report.reachable_states,
             completeness,
             retried,
             report.faults,
@@ -603,7 +609,7 @@ impl Server {
         let line = format!(
             "{{\"id\":\"{}\",\"status\":\"ok\",\"cmd\":\"{}\",\"model\":\"{}\",\
              \"verdict\":\"{}\",\"racy\":{},\"behaviours\":{},\"behaviours_complete\":{},\
-             \"reachable_states\":{},\"completeness\":\"complete\",\"cached\":true,\
+             \"completeness\":\"complete\",\"cached\":true,\
              \"retried\":false,\"engine_faults\":0,\"elapsed_micros\":{}}}",
             json_escape(&job.id),
             job.req.cmd.as_str(),
@@ -612,7 +618,6 @@ impl Server {
             entry.verdict == "racy",
             entry.behaviours,
             entry.behaviours_complete,
-            entry.reachable_states,
             micros(job.admitted.elapsed()),
         );
         self.write_line(&job.sink, &line);

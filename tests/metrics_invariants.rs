@@ -96,10 +96,6 @@ fn assert_observer(with: &AnalysisReport, without: &AnalysisReport, what: &str) 
     assert_eq!(with.behaviours, without.behaviours, "{what}: behaviours");
     assert_eq!(with.race, without.race, "{what}: race witness");
     assert_eq!(
-        with.reachable_states, without.reachable_states,
-        "{what}: reachable states"
-    );
-    assert_eq!(
         with.completeness, without.completeness,
         "{what}: completeness"
     );
@@ -121,6 +117,21 @@ fn metrics_are_inert_observers_on_the_corpus() {
             let without = run(&program, default_por(), jobs, &budget, false);
             assert_well_formed(&with, &what);
             assert_observer(&with, &without, &what);
+            let census = |metrics| Analysis::new().jobs(jobs).metrics(metrics).census(&program);
+            let (with, without) = (census(true), census(false));
+            assert_eq!(
+                with.reachable_states, without.reachable_states,
+                "{what}: reachable states"
+            );
+            assert_eq!(
+                with.completeness, without.completeness,
+                "{what}: census completeness"
+            );
+            assert_eq!(
+                without.stats,
+                ExploreStats::default(),
+                "{what}: metrics-off census leaked a live collector"
+            );
         }
     }
 }
@@ -362,6 +373,49 @@ fn parallel_totals_agree_with_sequential() {
             assert_eq!(
                 seq.stats.states_interned, par.stats.states_interned,
                 "{what}: interned totals diverge across worker counts"
+            );
+        }
+    }
+}
+
+#[test]
+fn interner_probe_chains_stay_short_at_every_job_count() {
+    // The E17 interner-quality bound (collisions <= 2 × probes), held at
+    // jobs 2 as well as jobs 1: the parallel drivers intern through 64
+    // shards, and a shard choice that reuses the home slot's bits
+    // inflates the mean probe chain by orders of magnitude without
+    // changing a single answer.
+    let configs = configs();
+    let budget = capped_budget();
+    for jobs in [1, 2] {
+        for model in MemoryModelKind::ALL {
+            let tally = |program: &Program| {
+                let s = Analysis::new()
+                    .model(model)
+                    .jobs(jobs)
+                    .por(default_por())
+                    .budget(budget)
+                    .metrics(true)
+                    .run(program)
+                    .stats;
+                (s.intern_probes, s.intern_collisions)
+            };
+            let generated = (0..seeds()).map(|seed| {
+                let config = &configs[usize::try_from(seed).unwrap() % configs.len()];
+                random_program(seed, config)
+            });
+            let (probes, collisions) = corpus()
+                .iter()
+                .map(|l| l.parse().program)
+                .chain(generated)
+                .map(|p| tally(&p))
+                .fold((0u64, 0u64), |(p, c), (dp, dc)| (p + dp, c + dc));
+            assert!(probes > 0, "{model} jobs={jobs}: nothing was interned");
+            assert!(
+                collisions <= 2 * probes,
+                "{model} jobs={jobs}: mean probe chain {:.2} ({collisions} collisions over \
+                 {probes} probes)",
+                collisions as f64 / probes as f64
             );
         }
     }

@@ -1,9 +1,10 @@
 //! Equivalence of the `ScModel` trait backend and the historical SC
 //! pipeline: selecting `--model sc` explicitly must be bit-identical to
 //! the default analysis — verdict, race witness, behaviour set, state
-//! census and governor accounting — on the whole litmus corpus and on
-//! hundreds of generated programs, sequentially and in parallel. The
-//! `MemoryModel` redesign is an API seam, never a semantics change.
+//! census (`Analysis::census`) and governor accounting — on the whole
+//! litmus corpus and on hundreds of generated programs, sequentially
+//! and in parallel. The `MemoryModel` redesign is an API seam, never a
+//! semantics change.
 
 mod support;
 
@@ -12,7 +13,7 @@ use transafety::checker::Analysis;
 use transafety::lang::{ExploreOptions, ModelExplorer, Program, ProgramExplorer, ScModel};
 use transafety::litmus::{corpus, random_program};
 use transafety::traces::MemoryModelKind;
-use transafety::{AnalysisReport, Budget};
+use transafety::{AnalysisReport, Budget, CensusReport};
 
 /// Everything in the report except the wall-clock time must coincide.
 /// The governor's raw state tally is only compared on the sequential
@@ -29,10 +30,6 @@ fn assert_identical(default: &AnalysisReport, explicit: &AnalysisReport, jobs: u
     assert_eq!(
         default.behaviours, explicit.behaviours,
         "{what}: behaviours"
-    );
-    assert_eq!(
-        default.reachable_states, explicit.reachable_states,
-        "{what}: census"
     );
     if jobs == 1 {
         assert_eq!(
@@ -60,6 +57,43 @@ fn run_pair(program: &Program, jobs: usize, budget: &Budget, what: &str) {
         .model(MemoryModelKind::Sc)
         .run(program);
     assert_identical(&default, &explicit, jobs, what);
+    let default = Analysis::new().jobs(jobs).budget(*budget).census(program);
+    let explicit = Analysis::new()
+        .jobs(jobs)
+        .budget(*budget)
+        .model(MemoryModelKind::Sc)
+        .census(program);
+    assert_census_identical(&default, &explicit, jobs, what);
+}
+
+/// [`assert_identical`] for the census, which runs on a governor of its
+/// own.
+fn assert_census_identical(
+    default: &CensusReport,
+    explicit: &CensusReport,
+    jobs: usize,
+    what: &str,
+) {
+    assert_eq!(
+        default.reachable_states, explicit.reachable_states,
+        "{what}: census"
+    );
+    if jobs == 1 {
+        assert_eq!(
+            default.states_explored, explicit.states_explored,
+            "{what}: census governor accounting"
+        );
+    }
+    assert_eq!(
+        default.completeness, explicit.completeness,
+        "{what}: census completeness"
+    );
+    assert_eq!(default.model, MemoryModelKind::Sc, "{what}: default model");
+    assert_eq!(
+        explicit.model,
+        MemoryModelKind::Sc,
+        "{what}: explicit model"
+    );
 }
 
 #[test]
