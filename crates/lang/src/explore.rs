@@ -1723,8 +1723,12 @@ fn collect_monitors(s: &crate::ast::Stmt, out: &mut std::collections::BTreeSet<M
     }
 }
 
-/// Does the program contain a `while` loop (anywhere)?
-pub(crate) fn program_has_loops(p: &Program) -> bool {
+/// Does the program contain a `while` loop (anywhere)? Loop-free
+/// programs admit exact, fuel-free exploration: every action consumes a
+/// statement (and, on the buffered machines of `transafety-tso`, every
+/// flush shrinks a buffer), so the state graph is a DAG.
+#[must_use]
+pub fn program_has_loops(p: &Program) -> bool {
     fn stmt_has_loop(s: &crate::ast::Stmt) -> bool {
         match s {
             crate::ast::Stmt::While { .. } => true,

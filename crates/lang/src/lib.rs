@@ -30,7 +30,9 @@ mod parser;
 mod semantics;
 
 pub use ast::{Cond, Operand, Program, Reg, Stmt};
-pub use explore::{program_loops_are_awaits, Bounded, CfgMeta, ExploreOptions, ProgramExplorer};
+pub use explore::{
+    program_has_loops, program_loops_are_awaits, Bounded, CfgMeta, ExploreOptions, ProgramExplorer,
+};
 pub use model::{
     MemoryModel, ModelExplorer, ModelMove, ModelRaceWitness, MoveLabel, Reduced, ReductionGoal,
     ScModel, ScheduleStep,

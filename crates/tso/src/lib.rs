@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod configs;
 mod explain;
 mod machine;
 mod model;

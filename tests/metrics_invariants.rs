@@ -9,6 +9,8 @@
 //!   admitted before a budget trip stops the visit);
 //! - the partial-order reduction never *increases* `states_visited`;
 //! - parallel runs agree with sequential runs on the totals;
+//! - sequential TSO/PSO runs repeat every counter exactly, interner
+//!   collisions included;
 //! - a `Truncated` report carries a non-zero trip counter matching the
 //!   reported truncation cause.
 
@@ -416,6 +418,56 @@ fn interner_probe_chains_stay_short_at_every_job_count() {
                 "{model} jobs={jobs}: mean probe chain {:.2} ({collisions} collisions over \
                  {probes} probes)",
                 collisions as f64 / probes as f64
+            );
+        }
+    }
+}
+
+/// A stats JSON line without its wall-clock (`*_nanos`) fields.
+fn untimed_json(stats: &ExploreStats) -> String {
+    stats
+        .to_json()
+        .split(',')
+        .filter(|field| !field.split(':').next().unwrap_or("").ends_with("_nanos\""))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+#[test]
+fn buffered_stats_are_deterministic_at_jobs_1() {
+    // Every counter of a sequential TSO/PSO run — interner collisions
+    // included — is a function of the program alone: two runs, each on
+    // a fresh model, must report the same stats apart from timings. A
+    // state hash keyed on anything run-dependent (an address, an id
+    // handed out in a racy order) fails this.
+    let configs = configs();
+    // A state cap only: a wall-clock trip would make the explored
+    // prefix timing-dependent.
+    let budget = Budget::unlimited().max_states(200_000);
+    let generated = (0..seeds()).map(|seed| {
+        let config = &configs[usize::try_from(seed).unwrap() % configs.len()];
+        (format!("seed {seed}"), random_program(seed, config))
+    });
+    let programs: Vec<(String, Program)> = corpus()
+        .iter()
+        .map(|l| (format!("litmus {}", l.name), l.parse().program))
+        .chain(generated)
+        .collect();
+    for model in [MemoryModelKind::Tso, MemoryModelKind::Pso] {
+        for (name, program) in &programs {
+            let stats = || {
+                let analysis = Analysis::new()
+                    .model(model)
+                    .jobs(1)
+                    .por(default_por())
+                    .budget(budget)
+                    .metrics(true);
+                untimed_json(&analysis.run(program).stats)
+            };
+            assert_eq!(
+                stats(),
+                stats(),
+                "{name} model={model}: jobs-1 stats differ"
             );
         }
     }
