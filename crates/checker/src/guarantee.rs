@@ -13,19 +13,19 @@ use crate::Analysis;
 /// state-space engine).
 #[must_use]
 pub fn behaviours(program: &Program, opts: &Analysis) -> transafety_lang::Bounded<Behaviours> {
-    ProgramExplorer::new(program).behaviours_par(&opts.explore, opts.jobs)
+    ProgramExplorer::new(program).behaviours(&opts.explore)
 }
 
 /// Is the program data race free (§3)?
 #[must_use]
 pub fn is_data_race_free(program: &Program, opts: &Analysis) -> bool {
-    ProgramExplorer::new(program).is_data_race_free_par(&opts.explore, opts.jobs)
+    ProgramExplorer::new(program).is_data_race_free(&opts.explore)
 }
 
 /// A data race witness for the program, if any.
 #[must_use]
 pub fn race_witness(program: &Program, opts: &Analysis) -> Option<RaceWitness> {
-    ProgramExplorer::new(program).race_witness_par(&opts.explore, opts.jobs)
+    ProgramExplorer::new(program).race_witness(&opts.explore)
 }
 
 /// Behaviours on an explorer the caller already built — the multi-step
@@ -36,12 +36,12 @@ fn behaviours_on(
     ex: &ProgramExplorer<'_>,
     opts: &Analysis,
 ) -> transafety_lang::Bounded<Behaviours> {
-    ex.behaviours_par(&opts.explore, opts.jobs)
+    ex.behaviours(&opts.explore)
 }
 
 /// Race witness on an explorer the caller already built.
 fn race_witness_on(ex: &ProgramExplorer<'_>, opts: &Analysis) -> Option<RaceWitness> {
-    ex.race_witness_par(&opts.explore, opts.jobs)
+    ex.race_witness(&opts.explore)
 }
 
 /// An execution of the program exhibiting exactly the given behaviour,

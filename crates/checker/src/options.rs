@@ -69,9 +69,10 @@ pub struct Analysis {
     /// the partial-order reduction stays enabled only where its
     /// soundness argument holds (SC).
     pub model: MemoryModelKind,
-    /// Worker threads for the parallel exploration engine. `1` (the
-    /// default) selects the sequential reference driver; higher values
-    /// fan exploration out over a work-stealing pool. Results are
+    /// Worker threads, `1` by default. The verdict phases and the
+    /// census run the sequential engine at every value; higher values
+    /// fan `classify`'s traceset extractions and the no-thin-air
+    /// closure scan out over a work-stealing pool. Results are
     /// identical either way.
     pub jobs: usize,
     /// Resource budget for the analysis: wall-clock deadline, interned
@@ -240,11 +241,12 @@ impl Analysis {
     }
 
     /// Runs the single-program analysis — behaviour evaluation, then
-    /// the race search — on [`jobs`](Analysis::jobs) workers, under
-    /// [`budget`](Analysis::budget). These two phases answer the
-    /// paper's questions (is the program DRF, what can it print); the
-    /// unreduced reachable-state census is a separate operation,
-    /// [`census`](Analysis::census), that a caller asks for.
+    /// the race search — on the sequential engine at every
+    /// [`jobs`](Analysis::jobs), under [`budget`](Analysis::budget).
+    /// These two phases answer the paper's questions (is the program
+    /// DRF, what can it print); the unreduced reachable-state census is
+    /// a separate operation, [`census`](Analysis::census), that a
+    /// caller asks for.
     #[must_use]
     pub fn run(&self, program: &Program) -> AnalysisReport {
         self.run_with_cancel(program, CancelToken::new())
@@ -270,7 +272,6 @@ impl Analysis {
             self.model,
             VerdictPhases {
                 explore: &self.explore,
-                jobs: self.jobs,
                 guard: &guard,
             },
         );
@@ -304,11 +305,11 @@ impl Analysis {
     }
 
     /// Counts the distinct reachable model states (under TSO/PSO buffer
-    /// contents count too) on [`jobs`](Analysis::jobs) workers, under
-    /// [`budget`](Analysis::budget). The walk is unreduced by design —
-    /// the count is a diagnostic of the state space, not of any
-    /// reduction — so it is typically the costliest phase, and
-    /// [`run`](Analysis::run) never performs it.
+    /// contents count too) on the sequential engine at every
+    /// [`jobs`](Analysis::jobs), under [`budget`](Analysis::budget).
+    /// The walk is unreduced by design — the count is a diagnostic of
+    /// the state space, not of any reduction — so it is typically the
+    /// costliest phase, and [`run`](Analysis::run) never performs it.
     #[must_use]
     pub fn census(&self, program: &Program) -> CensusReport {
         self.census_with_cancel(program, CancelToken::new())
@@ -326,7 +327,6 @@ impl Analysis {
             self.model,
             Census {
                 explore: &self.explore,
-                jobs: self.jobs,
                 guard: &guard,
             },
         );
@@ -405,7 +405,6 @@ fn with_model<T: ModelTask>(program: &Program, model: MemoryModelKind, task: T) 
 /// shared budget governor.
 struct VerdictPhases<'a> {
     explore: &'a ExploreOptions,
-    jobs: usize,
     guard: &'a BudgetGuard,
 }
 
@@ -413,8 +412,8 @@ impl ModelTask for VerdictPhases<'_> {
     type Output = (Bounded<Behaviours>, Option<ModelRaceWitness>);
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>) -> Self::Output {
-        let behaviours = mx.behaviours_par_governed(self.explore, self.jobs, self.guard);
-        let race = mx.race_witness_par_governed(self.explore, self.jobs, self.guard);
+        let behaviours = mx.behaviours_governed(self.explore, self.guard);
+        let race = mx.race_witness_governed(self.explore, self.guard);
         (behaviours, race)
     }
 }
@@ -422,7 +421,6 @@ impl ModelTask for VerdictPhases<'_> {
 /// The unreduced reachable-state census.
 struct Census<'a> {
     explore: &'a ExploreOptions,
-    jobs: usize,
     guard: &'a BudgetGuard,
 }
 
@@ -430,7 +428,7 @@ impl ModelTask for Census<'_> {
     type Output = usize;
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>) -> usize {
-        mx.count_reachable_states_par_governed(self.explore, self.jobs, self.guard)
+        mx.count_reachable_states_governed(self.explore, self.guard)
     }
 }
 
@@ -477,7 +475,8 @@ pub struct AnalysisReport {
     pub race_schedule: Option<Vec<ScheduleStep>>,
     /// The memory model the analysis explored under.
     pub model: MemoryModelKind,
-    /// The worker count the analysis ran with.
+    /// The configured worker count (the phases run sequentially at
+    /// every count).
     pub jobs: usize,
     /// Did the analysis run to completion, and if not, which bound (or
     /// fault) stopped it?
@@ -523,7 +522,8 @@ pub struct CensusReport {
     pub reachable_states: usize,
     /// The memory model the census walked.
     pub model: MemoryModelKind,
-    /// The worker count the census ran with.
+    /// The configured worker count (the census runs sequentially at
+    /// every count).
     pub jobs: usize,
     /// Did the walk run to completion, and if not, which bound (or
     /// fault) stopped it?

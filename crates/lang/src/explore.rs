@@ -853,23 +853,17 @@ impl<'p> ProgramExplorer<'p> {
         (collapsed, wakeups)
     }
 
-    /// The bounded behaviours, computed on `jobs` workers.
-    ///
-    /// Identical result to [`behaviours`](ProgramExplorer::behaviours):
-    /// the parallel driver deduplicates the fuel-layered state graph
-    /// concurrently, then evaluates the same dynamic program bottom-up,
-    /// so the behaviour set (and the `complete` flag) is bit-identical
-    /// regardless of worker count or scheduling.
+    /// The bounded behaviours at `jobs` workers. The verdict phases run
+    /// sequentially at every worker count (see
+    /// [`ModelExplorer::behaviours_par_governed`]), so this equals
+    /// [`behaviours`](ProgramExplorer::behaviours).
     #[must_use]
     pub fn behaviours_par(&self, opts: &ExploreOptions, jobs: usize) -> Bounded<Behaviours> {
         self.behaviours_par_governed(opts, jobs, &BudgetGuard::unlimited())
     }
 
     /// [`behaviours_par`](ProgramExplorer::behaviours_par) under a
-    /// budget. A worker panic is quarantined by the pool; the fault is
-    /// recorded on the guard and the computation degrades to the
-    /// sequential governed engine, so a crashing worker never takes the
-    /// analysis down with it.
+    /// budget.
     #[must_use]
     pub fn behaviours_par_governed(
         &self,
@@ -911,21 +905,15 @@ impl<'p> ProgramExplorer<'p> {
         self.race_witness(opts).is_none()
     }
 
-    /// The race search, run on `jobs` workers.
-    ///
-    /// The parallel phase only decides *existence* (it partitions the
-    /// `(state, last-access)` search space across workers with early
-    /// exit); when a race exists the canonical witness is reconstructed
-    /// by the sequential search so the reported execution does not
-    /// depend on scheduling.
+    /// The race search at `jobs` workers; it runs sequentially, so it
+    /// equals [`race_witness`](ProgramExplorer::race_witness).
     #[must_use]
     pub fn race_witness_par(&self, opts: &ExploreOptions, jobs: usize) -> Option<RaceWitness> {
         self.race_witness_par_governed(opts, jobs, &BudgetGuard::unlimited())
     }
 
     /// [`race_witness_par`](ProgramExplorer::race_witness_par) under a
-    /// budget. A pool fault is recorded on the guard and the search
-    /// degrades to the sequential governed engine.
+    /// budget.
     #[must_use]
     pub fn race_witness_par_governed(
         &self,
@@ -938,7 +926,8 @@ impl<'p> ProgramExplorer<'p> {
             .map(|w| w.witness)
     }
 
-    /// Is the program data race free? Decided on `jobs` workers.
+    /// Is the program data race free? The `jobs` form of
+    /// [`is_data_race_free`](ProgramExplorer::is_data_race_free).
     #[must_use]
     pub fn is_data_race_free_par(&self, opts: &ExploreOptions, jobs: usize) -> bool {
         self.race_witness_par(opts, jobs).is_none()
@@ -1086,15 +1075,16 @@ impl<'p> ProgramExplorer<'p> {
         ModelExplorer::new(&ScModel::new(self)).count_reachable_states_governed(opts, guard)
     }
 
-    /// The reachable-state count, computed on `jobs` workers.
+    /// The reachable-state count at `jobs` workers; it runs
+    /// sequentially, so it equals
+    /// [`count_reachable_states`](ProgramExplorer::count_reachable_states).
     #[must_use]
     pub fn count_reachable_states_par(&self, opts: &ExploreOptions, jobs: usize) -> usize {
         self.count_reachable_states_par_governed(opts, jobs, &BudgetGuard::unlimited())
     }
 
     /// [`count_reachable_states_par`](ProgramExplorer::count_reachable_states_par)
-    /// under a budget; a pool fault degrades to the sequential governed
-    /// count.
+    /// under a budget.
     #[must_use]
     pub fn count_reachable_states_par_governed(
         &self,
