@@ -1,13 +1,14 @@
-//! Golden pin of the TSO/PSO state spaces: for every `programs/*.tsl`
-//! sample and every litmus-corpus program, under tso and pso, at
-//! `--jobs 1`, with the partial-order reduction on and off, the
-//! `drfcheck states` count and the deterministic exploration counters
-//! of `drfcheck --stats=json check` must equal the recorded table in
-//! `tests/golden/buffered_state_spaces.txt` exactly.
+//! Golden pin of the SC, TSO and PSO state spaces: for every
+//! `programs/*.tsl` sample and every litmus-corpus program, under each
+//! model, at `--jobs 1`, with the partial-order reduction on and off,
+//! the `drfcheck states` count and the deterministic exploration
+//! counters of `drfcheck --stats=json check` must equal the recorded
+//! table in `tests/golden/buffered_state_spaces.txt` exactly. The sc
+//! lines also pin the interner's probe and collision counts.
 //!
 //! The counters are a pure function of the machine's state graph and
-//! the engine's visit order, so a change to how buffered machine states
-//! are represented must leave every line untouched. On a mismatch the
+//! the engine's visit order, so a change to how machine states are
+//! represented or interned must leave every line untouched. On a mismatch the
 //! test writes the table it computed to
 //! `target/buffered_state_spaces.<model>.actual` and fails; regenerating
 //! the golden means copying those lines over it, which is only right
@@ -59,7 +60,7 @@ fn line(model: MemoryModelKind, por: bool, name: &str, program: &Program) -> Str
     let analysis = Analysis::new().model(model).jobs(1).por(por).metrics(true);
     let states = analysis.census(program).reachable_states;
     let s = analysis.run(program).stats;
-    format!(
+    let mut out = format!(
         "{model} {por} {name} states={states} states_visited={} states_interned={} \
          moves_generated={} por_ample_hits={} por_full_expansions={} dpor_proviso_blocks={} \
          dpor_flush_ample_hits={} await_collapsed={}",
@@ -72,7 +73,14 @@ fn line(model: MemoryModelKind, por: bool, name: &str, program: &Program) -> Str
         s.dpor_flush_ample_hits,
         s.await_collapsed,
         por = if por { "por" } else { "no-por" },
-    )
+    );
+    if model == MemoryModelKind::Sc {
+        out.push_str(&format!(
+            " intern_probes={} intern_collisions={}",
+            s.intern_probes, s.intern_collisions
+        ));
+    }
+    out
 }
 
 fn assert_model_matches_golden(model: MemoryModelKind) {
@@ -110,6 +118,11 @@ fn assert_model_matches_golden(model: MemoryModelKind) {
             out.display()
         );
     }
+}
+
+#[test]
+fn sc_state_spaces_match_golden() {
+    assert_model_matches_golden(MemoryModelKind::Sc);
 }
 
 #[test]
