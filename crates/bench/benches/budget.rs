@@ -86,41 +86,12 @@ fn race_search_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_pool_overhead(c: &mut Criterion) {
-    // The parallel driver's guard checks happen once per interner miss,
-    // not per expansion, so the relative overhead should be even
-    // smaller than in the sequential recursion. jobs = 4 as in E14.
-    let opts = ExploreOptions::default();
-    let budget = generous_budget();
-    let mut group = c.benchmark_group("E15/budget_overhead/parallel");
-    for (name, p) in &corpus() {
-        group.bench_with_input(BenchmarkId::new("ungoverned", name), p, |b, p| {
-            b.iter(|| {
-                ProgramExplorer::new(black_box(p))
-                    .behaviours_par(&opts, 4)
-                    .value
-                    .len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("budgeted", name), p, |b, p| {
-            b.iter(|| {
-                let guard = BudgetGuard::new(&budget, CancelToken::new());
-                ProgramExplorer::new(black_box(p))
-                    .behaviours_par_governed(&opts, 4, &guard)
-                    .value
-                    .len()
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = budget;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(200))
         .measurement_time(std::time::Duration::from_millis(800));
-    targets = behaviours_overhead, race_search_overhead, parallel_pool_overhead
+    targets = behaviours_overhead, race_search_overhead
 }
 criterion_main!(budget);

@@ -123,24 +123,5 @@ fn race_search_por(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_por(c: &mut Criterion) {
-    let corpus = corpus();
-    let mut group = c.benchmark_group("E16/por/behaviours_jobs4");
-    for (name, p) in &corpus {
-        for (tag, por) in [("full", false), ("reduced", true)] {
-            let o = opts(por);
-            group.bench_with_input(BenchmarkId::new(tag, name), p, |b, p| {
-                b.iter(|| {
-                    ProgramExplorer::new(black_box(p))
-                        .behaviours_par(&o, 4)
-                        .value
-                        .len()
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, behaviours_por, race_search_por, parallel_por);
+criterion_group!(benches, behaviours_por, race_search_por);
 criterion_main!(benches);

@@ -174,57 +174,6 @@ fn elimination_search_vs_extra(c: &mut Criterion) {
     group.finish();
 }
 
-fn worker_scaling(c: &mut Criterion) {
-    // E14: `behaviours_par` across worker counts on the heaviest litmus
-    // entries, every shipped `programs/*.tsl`, and `volatile-7x4`
-    // (seven volatile threads, 78,132 behaviour states). The verdict
-    // phases run the sequential engine at every job count, so every
-    // column should read like `jobs = 1`; EXPERIMENTS.md §E14 keeps the
-    // readings from when jobs >= 2 ran the work-stealing pool.
-    let mut corpus: Vec<(String, transafety::lang::Program)> = Vec::new();
-    for name in ["iriw", "wrc", "dekker-core", "mp-spin"] {
-        let l = transafety::litmus::by_name(name).expect("corpus name");
-        corpus.push((name.to_string(), l.parse().program));
-    }
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../programs");
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .expect("programs/ directory exists")
-        .map(|e| e.expect("readable directory entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "tsl"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let src = std::fs::read_to_string(&path).expect("readable program file");
-        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        corpus.push((
-            name,
-            parse_program(&src).expect("valid .tsl program").program,
-        ));
-    }
-    let thread = "v := 1; r0 := v; v := r0; print r0;";
-    corpus.push((
-        "volatile-7x4".to_string(),
-        parse_program(&format!("volatile v; {}", [thread; 7].join(" || ")))
-            .expect("valid program")
-            .program,
-    ));
-    let opts = ExploreOptions::default();
-    let mut group = c.benchmark_group("E14/worker_scaling");
-    for (name, p) in &corpus {
-        for jobs in [1usize, 2, 4, 8] {
-            group.bench_with_input(BenchmarkId::new(name, jobs), &jobs, |b, &jobs| {
-                b.iter(|| {
-                    ProgramExplorer::new(black_box(p))
-                        .behaviours_par(&opts, jobs)
-                        .value
-                        .len()
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 fn next_permutation(perm: &mut [usize]) -> bool {
     let n = perm.len();
     if n < 2 {
@@ -257,7 +206,6 @@ criterion_group! {
     extraction_vs_domain,
     interleaving_explorer_vs_direct,
     reordering_search_vs_length,
-    elimination_search_vs_extra,
-    worker_scaling
+    elimination_search_vs_extra
 }
 criterion_main!(scaling);

@@ -55,8 +55,6 @@ pub use guarantee::{
     race_witness, sc_only_accepts, DrfVerdict, Refinement,
 };
 pub use oota::{no_thin_air, traceset_has_origin, OotaVerdict};
-#[allow(deprecated)]
-pub use options::CheckOptions;
 pub use options::{Analysis, AnalysisReport, CensusReport, Verdict};
 pub use transafety_interleaving::{
     Budget, BudgetBound, CancelToken, Completeness, ExploreStats, TraceEvent, TruncationReason,

@@ -1,15 +1,12 @@
 //! The unified analysis configuration — one builder-style type carrying
 //! every knob of the checker pipeline: the read-value domain, the
 //! extraction/exploration/elimination bounds, the interleaving cap and
-//! the worker count for the parallel exploration engine.
+//! the worker count for the parts of the pipeline that fan out.
 //!
-//! [`Analysis`] subsumes the older trio of option types
-//! (`CheckOptions`, plus the engine-level
-//! [`ExploreOptions`](transafety_lang::ExploreOptions) and
-//! [`ExploreLimits`](transafety_interleaving::ExploreLimits), which it
-//! projects via its `explore` field and [`Analysis::limits`]).
-//! `CheckOptions` remains as a deprecated alias so existing code keeps
-//! compiling.
+//! [`Analysis`] carries the engine-level
+//! [`ExploreOptions`](transafety_lang::ExploreOptions) and projects
+//! [`ExploreLimits`](transafety_interleaving::ExploreLimits) via its
+//! `explore` field and [`Analysis::limits`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,9 +62,9 @@ pub struct Analysis {
     /// [`MemoryModelKind::Sc`] is the paper's baseline semantics;
     /// [`Tso`](MemoryModelKind::Tso) and [`Pso`](MemoryModelKind::Pso)
     /// route every phase through the buffered operational machines of
-    /// §8. All budgets, panic isolation and metrics apply uniformly;
-    /// the partial-order reduction stays enabled only where its
-    /// soundness argument holds (SC).
+    /// §8. All budgets and metrics apply uniformly; each backend
+    /// negotiates its own partial-order reduction (see
+    /// [`MemoryModel::reduced_moves`](transafety_lang::MemoryModel::reduced_moves)).
     pub model: MemoryModelKind,
     /// Worker threads, `1` by default. The verdict phases and the
     /// census run the sequential engine at every value; higher values
@@ -109,8 +106,7 @@ impl Analysis {
         Analysis::default()
     }
 
-    /// A configuration with the given read-value domain (the historical
-    /// `CheckOptions::with_domain` constructor).
+    /// A configuration with the given read-value domain.
     #[must_use]
     pub fn with_domain(domain: Domain) -> Self {
         Analysis {
@@ -298,7 +294,6 @@ impl Analysis {
             completeness,
             verdict,
             states_explored: guard.states(),
-            faults: guard.faults(),
             elapsed: guard.elapsed(),
             stats: self.stamped(&collector),
         }
@@ -336,7 +331,6 @@ impl Analysis {
             jobs: self.jobs,
             completeness: completeness_of(&guard),
             states_explored: guard.states(),
-            faults: guard.faults(),
             elapsed: guard.elapsed(),
             stats: self.stamped(&collector),
         }
@@ -478,8 +472,8 @@ pub struct AnalysisReport {
     /// The configured worker count (the phases run sequentially at
     /// every count).
     pub jobs: usize,
-    /// Did the analysis run to completion, and if not, which bound (or
-    /// fault) stopped it?
+    /// Did the analysis run to completion, and if not, which bound
+    /// stopped it?
     pub completeness: Completeness,
     /// The three-valued race verdict.
     pub verdict: Verdict,
@@ -487,10 +481,6 @@ pub struct AnalysisReport {
     /// when the budget is unlimited — the inert governor skips the
     /// bookkeeping).
     pub states_explored: usize,
-    /// Quarantined worker panics recovered by degrading to the
-    /// sequential engine. Non-zero means the numbers in this report
-    /// were produced the slow, safe way.
-    pub faults: usize,
     /// Wall-clock time the analysis took.
     pub elapsed: Duration,
     /// Exploration metrics, populated when the analysis ran with
@@ -525,25 +515,18 @@ pub struct CensusReport {
     /// The configured worker count (the census runs sequentially at
     /// every count).
     pub jobs: usize,
-    /// Did the walk run to completion, and if not, which bound (or
-    /// fault) stopped it?
+    /// Did the walk run to completion, and if not, which bound stopped
+    /// it?
     pub completeness: Completeness,
     /// States counted by the budget governor (`0` when the budget is
     /// unlimited).
     pub states_explored: usize,
-    /// Quarantined worker panics recovered by degrading to the
-    /// sequential engine.
-    pub faults: usize,
     /// Wall-clock time the census took.
     pub elapsed: Duration,
     /// Exploration metrics, populated when the census ran with
     /// [`Analysis::metrics`]`(true)`.
     pub stats: ExploreStats,
 }
-
-/// The pre-0.2 name of [`Analysis`].
-#[deprecated(note = "renamed to `Analysis`; use `Analysis::new()` and its builder methods")]
-pub type CheckOptions = Analysis;
 
 #[cfg(test)]
 mod tests {
@@ -735,13 +718,5 @@ mod tests {
         let capped = Analysis::new().max_states(1).census(&program);
         assert!(!capped.completeness.is_complete());
         assert!(capped.reachable_states < census.reachable_states);
-    }
-
-    #[test]
-    fn deprecated_alias_still_works() {
-        #[allow(deprecated)]
-        let opts: CheckOptions = CheckOptions::with_domain(Domain::zero_to(1));
-        assert_eq!(opts.domain.len(), 2);
-        assert_eq!(opts.jobs, 1);
     }
 }

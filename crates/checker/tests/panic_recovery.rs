@@ -1,60 +1,59 @@
-//! Fault isolation end to end: a worker that panics mid-exploration is
-//! quarantined by the pool, its siblings are cancelled, and the
-//! exploration completes on the sequential engine — same answer,
-//! a recorded fault, process alive.
+//! Fault isolation end to end on the pool's remaining users: a worker
+//! that panics is quarantined by the pool, and `parallel_map`
+//! recomputes the items it left unmapped on the calling thread — same
+//! answer as at jobs 1, process alive.
 //!
 //! The verdict phases of `Analysis` run sequentially at every job
-//! count, so the pool's guarded users here are the §3 traceset
-//! explorer's parallel drivers.
+//! count and never start the pool. The pool's users here are
+//! `classify`'s traceset pair and the no-thin-air closure scan.
 //!
 //! This file holds a single test: the injection hook is a
 //! process-global one-shot, so a sibling test running a pool
 //! concurrently could consume the armed panic.
 
-use transafety_checker::{Analysis, Verdict};
-use transafety_interleaving::{par, BudgetGuard, Explorer};
-use transafety_lang::{extract_traceset, parse_program};
+use transafety_checker::{classify_transformation, no_thin_air, Analysis, Verdict};
+use transafety_interleaving::par::{self, TaskContext};
+use transafety_lang::parse_program;
+use transafety_traces::Value;
+
+/// Runs a no-op pool and reports how many of its tasks panicked: 1 when
+/// the hook was still armed, 0 when some earlier pool consumed it.
+fn armed_panics_left() -> usize {
+    par::run_tasks(2, vec![0u8, 1], |_, _ctx: &TaskContext<'_, u8>| {}).panics
+}
 
 #[test]
-fn injected_worker_panic_degrades_to_sequential_and_completes() {
-    let program = parse_program("volatile v; v := 1; || r0 := v; print r0;")
-        .expect("corpus-style program parses")
-        .program;
-    let opts = Analysis::new().jobs(4);
+fn injected_worker_panic_is_recomputed_by_the_pools_users() {
+    let program = |src: &str| parse_program(src).expect("program parses").program;
+    let original = program("r0 := x; r1 := x; print r1; || x := 1;");
+    let transformed = program("r0 := x; r1 := r0; print r1; || x := 1;");
 
     // The analysis never starts the pool, so an armed panic stays
     // armed through it.
     par::arm_worker_panic();
-    let report = opts.run(&program);
-    assert_eq!(report.faults, 0);
+    let report = Analysis::new().jobs(4).run(&original);
     assert!(report.completeness.is_complete());
-    assert_eq!(report.verdict, Verdict::DrfProven);
+    assert_eq!(report.verdict, Verdict::Racy);
+    assert_eq!(armed_panics_left(), 1, "the analysis consumed the hook");
 
-    let traceset = extract_traceset(&program, &opts.domain, &opts.extract).traceset;
-    let explorer = Explorer::new(&traceset);
-    let reference = explorer.behaviours();
-
-    let guard = BudgetGuard::unlimited();
-    let behaviours = explorer.behaviours_par_governed(4, &guard);
-    assert!(
-        guard.faults() >= 1,
-        "the injected panic must be quarantined and counted"
-    );
-    assert_eq!(
-        guard.trip_reason(),
-        None,
-        "recovery reruns the phase sequentially to completion"
-    );
-    assert_eq!(behaviours, reference);
-
-    // The race search recovers the same way.
+    // classify extracts its traceset pair with `parallel_map` on two
+    // workers: the poisoned extraction is recomputed inline.
+    let reference = classify_transformation(&transformed, &original, &Analysis::new());
     par::arm_worker_panic();
-    let guard = BudgetGuard::unlimited();
-    let race = explorer.race_witness_par_governed(4, &guard);
-    assert!(
-        guard.faults() >= 1,
-        "the injected race-search panic must be quarantined and counted"
+    let class = classify_transformation(&transformed, &original, &Analysis::new().jobs(2));
+    assert_eq!(armed_panics_left(), 0, "classify's pool did not run");
+    assert_eq!(class, reference);
+
+    // The no-thin-air scan fans the transformation closure out the
+    // same way.
+    let seven = Value::new(7);
+    let reference = no_thin_air(&original, seven, 2, &Analysis::new());
+    par::arm_worker_panic();
+    let verdict = no_thin_air(&original, seven, 2, &Analysis::new().jobs(4));
+    assert_eq!(
+        armed_panics_left(),
+        0,
+        "the closure scan's pool did not run"
     );
-    assert_eq!(guard.trip_reason(), None);
-    assert_eq!(race, None);
+    assert_eq!(verdict, reference);
 }

@@ -36,8 +36,7 @@
 //! so far — the partial result is flushed, the truncation reason (which
 //! bound tripped, how many states were explored, elapsed time) goes to
 //! stderr, and the exit code says what happened: `3` for a cap, `4` for
-//! timeout or interruption, `5` when a crashed worker was quarantined
-//! and the analysis completed on the sequential fallback engine.
+//! timeout or interruption.
 //!
 //! Program files use the concrete syntax of the paper's §6 language (see
 //! `transafety::lang::parse_program`); a corpus name (e.g. `sb`) can be
@@ -115,8 +114,8 @@ impl StatsFlags {
 
     /// Renders `stats` per `--stats` and writes the event trace per
     /// `--trace-out`. Called on every exit path of the analysis
-    /// commands, including truncated and fault-recovered runs, so
-    /// partial metrics are never lost with the partial results.
+    /// commands, including truncated runs, so partial metrics are
+    /// never lost with the partial results.
     fn emit(&self, stats: &ExploreStats) -> Result<(), String> {
         match self.mode {
             StatsMode::Off => {}
@@ -142,27 +141,19 @@ impl StatsFlags {
                     stats.load_factor()
                 );
                 eprintln!(
-                    "pool: {} tasks, {} steals, {} parks, {} wakes",
-                    stats.pool_tasks, stats.pool_steals, stats.pool_parks, stats.pool_wakes
-                );
-                eprintln!(
-                    "budget trips: {} wall-clock, {} states, {} cancelled, {} worker-panic, \
-                     {} interleavings, {} actions",
+                    "budget trips: {} wall-clock, {} states, {} cancelled, {} interleavings, \
+                     {} actions",
                     stats.trip_wall_clock,
                     stats.trip_states,
                     stats.trip_cancelled,
-                    stats.trip_worker_panic,
                     stats.trip_interleavings,
                     stats.trip_actions
                 );
                 eprintln!(
-                    "phases (ms): graph build {:.3}, behaviour eval {:.3}, race search {:.3}, \
-                     census {:.3}, pool drain {:.3}",
-                    stats.graph_build_nanos as f64 / 1e6,
+                    "phases (ms): behaviour eval {:.3}, race search {:.3}, census {:.3}",
                     stats.behaviour_eval_nanos as f64 / 1e6,
                     stats.race_search_nanos as f64 / 1e6,
                     stats.census_nanos as f64 / 1e6,
-                    stats.pool_drain_nanos as f64 / 1e6,
                 );
             }
         }
@@ -179,9 +170,6 @@ const EXIT_LIMIT_EXCEEDED: u8 = 3;
 /// Exit code when the wall-clock deadline passed or the run was
 /// cancelled (`Ctrl-C`).
 const EXIT_TIMED_OUT: u8 = 4;
-/// Exit code when a worker panic was quarantined; the printed results
-/// come from the sequential fallback engine.
-const EXIT_FAULT_RECOVERED: u8 = 5;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -250,8 +238,7 @@ fn usage() -> ExitCode {
            2  usage or input error\n  \
            3  a state/interleaving cap was exceeded (partial results flushed)\n  \
            4  deadline exceeded or interrupted by SIGINT/SIGTERM (partial results\n     \
-              flushed; serve drains gracefully — a second signal hard-exits at once)\n  \
-           5  a worker panic was quarantined; results computed by the sequential fallback\n\
+              flushed; serve drains gracefully — a second signal hard-exits at once)\n\
          <program> is a file path or a corpus name (try `drfcheck litmus`)."
     );
     ExitCode::from(2)
@@ -305,42 +292,25 @@ fn install_signal_handlers() {
     }
 }
 
-/// Maps a truncated or faulted run to stderr diagnostics plus the exit
-/// code documented in `--help`; `None` means the run was complete and
-/// fault-free.
+/// Maps a truncated run to stderr diagnostics plus the exit code
+/// documented in `--help`; `None` means the run was complete.
 fn degraded_exit(
     reason: Option<TruncationReason>,
-    faults: usize,
     states: usize,
     elapsed: Duration,
 ) -> Option<ExitCode> {
-    if let Some(reason) = reason {
-        eprintln!(
-            "drfcheck: analysis truncated: {reason} — {states} states explored in {:.3}s{}",
-            elapsed.as_secs_f64(),
-            if faults > 0 {
-                " (after quarantined worker panics)"
-            } else {
-                ""
-            }
-        );
-        let code = match reason {
-            TruncationReason::Cancelled
-            | TruncationReason::BudgetExceeded(BudgetBound::WallClock) => EXIT_TIMED_OUT,
-            TruncationReason::BudgetExceeded(_) => EXIT_LIMIT_EXCEEDED,
-            TruncationReason::WorkerPanic => EXIT_FAULT_RECOVERED,
-        };
-        Some(ExitCode::from(code))
-    } else if faults > 0 {
-        eprintln!(
-            "drfcheck: {faults} worker panic(s) quarantined — analysis completed in {:.3}s \
-             on the sequential fallback engine",
-            elapsed.as_secs_f64()
-        );
-        Some(ExitCode::from(EXIT_FAULT_RECOVERED))
-    } else {
-        None
-    }
+    let reason = reason?;
+    eprintln!(
+        "drfcheck: analysis truncated: {reason} — {states} states explored in {:.3}s",
+        elapsed.as_secs_f64(),
+    );
+    let code = match reason {
+        TruncationReason::Cancelled | TruncationReason::BudgetExceeded(BudgetBound::WallClock) => {
+            EXIT_TIMED_OUT
+        }
+        TruncationReason::BudgetExceeded(_) => EXIT_LIMIT_EXCEEDED,
+    };
+    Some(ExitCode::from(code))
 }
 
 /// The truncation reason of a report, if any.
@@ -353,12 +323,7 @@ fn truncation(completeness: Completeness) -> Option<TruncationReason> {
 
 /// [`degraded_exit`] reading its inputs off a [`BudgetGuard`].
 fn guard_exit(guard: &BudgetGuard) -> Option<ExitCode> {
-    degraded_exit(
-        guard.trip_reason(),
-        guard.faults(),
-        guard.states(),
-        guard.elapsed(),
-    )
+    degraded_exit(guard.trip_reason(), guard.states(), guard.elapsed())
 }
 
 /// Runs the governed race search through the memory-model backend
@@ -815,7 +780,6 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
             stats.emit(&report.stats)?;
             if let Some(code) = degraded_exit(
                 truncation(report.completeness),
-                report.faults,
                 report.states_explored,
                 report.elapsed,
             ) {
@@ -835,7 +799,6 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
             stats.emit(&report.stats)?;
             Ok(degraded_exit(
                 truncation(report.completeness),
-                report.faults,
                 report.states_explored,
                 report.elapsed,
             )
@@ -853,13 +816,7 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
             match witness {
                 Some(w) => {
                     // A witness is conclusive however the search was
-                    // bounded; note recovered faults but keep exit 1.
-                    if guard.faults() > 0 {
-                        eprintln!(
-                            "drfcheck: {} worker panic(s) quarantined during the race search",
-                            guard.faults()
-                        );
-                    }
+                    // bounded.
                     println!("{}", w.witness);
                     print_schedule(&w.schedule);
                     Ok(ExitCode::FAILURE)
@@ -867,16 +824,12 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                 None => {
                     if let Some(reason) = guard.trip_reason() {
                         println!("unknown: search truncated ({reason})");
-                        return Ok(degraded_exit(
-                            Some(reason),
-                            guard.faults(),
-                            guard.states(),
-                            guard.elapsed(),
-                        )
-                        .expect("truncated runs always map to an exit code"));
+                        return Ok(
+                            guard_exit(&guard).expect("truncated runs always map to an exit code")
+                        );
                     }
                     println!("data race free");
-                    Ok(guard_exit(&guard).unwrap_or(ExitCode::SUCCESS))
+                    Ok(ExitCode::SUCCESS)
                 }
             }
         }
@@ -898,12 +851,11 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
             }
             // The per-execution action bound is ordinary configuration
             // (loops need one), reported inline above, exit 0 — only
-            // hard budget trips and faults change the exit code.
+            // hard budget trips change the exit code.
             match guard.trip_reason() {
-                Some(TruncationReason::BudgetExceeded(BudgetBound::Actions)) | None => Ok(
-                    degraded_exit(None, guard.faults(), guard.states(), guard.elapsed())
-                        .unwrap_or(ExitCode::SUCCESS),
-                ),
+                Some(TruncationReason::BudgetExceeded(BudgetBound::Actions)) | None => {
+                    Ok(ExitCode::SUCCESS)
+                }
                 Some(_) => Ok(guard_exit(&guard).expect("tripped guard maps to an exit code")),
             }
         }

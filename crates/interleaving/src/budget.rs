@@ -11,11 +11,6 @@
 //! bound stops the search cleanly and records *which* bound tripped as
 //! a [`TruncationReason`], so truncated runs are reported as
 //! [`Completeness::Truncated`] and never misread as exhaustive proofs.
-//!
-//! The guard also counts recovered worker faults (panics isolated by
-//! the parallel pool — see [`par`](crate::par)), letting drivers
-//! degrade to the sequential reference engine and still tell the user
-//! an internal fault occurred.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -195,10 +190,6 @@ pub enum TruncationReason {
     BudgetExceeded(BudgetBound),
     /// The [`CancelToken`] was tripped externally (SIGINT, caller).
     Cancelled,
-    /// A worker panicked and the degraded result is still partial
-    /// (when the sequential fallback completes, the run reports
-    /// [`Completeness::Complete`] with a positive fault count instead).
-    WorkerPanic,
 }
 
 impl std::fmt::Display for TruncationReason {
@@ -206,7 +197,6 @@ impl std::fmt::Display for TruncationReason {
         match self {
             TruncationReason::BudgetExceeded(b) => write!(f, "budget exceeded ({b})"),
             TruncationReason::Cancelled => f.write_str("cancelled"),
-            TruncationReason::WorkerPanic => f.write_str("worker panic"),
         }
     }
 }
@@ -242,24 +232,6 @@ impl std::fmt::Display for Completeness {
     }
 }
 
-/// A recoverable internal engine fault (a quarantined worker panic or a
-/// violated pool invariant), reported by the parallel drivers instead
-/// of aborting the process; callers degrade to the sequential reference
-/// engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineFault {
-    /// Human-readable description of the fault.
-    pub message: String,
-}
-
-impl std::fmt::Display for EngineFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "parallel engine fault: {}", self.message)
-    }
-}
-
-impl std::error::Error for EngineFault {}
-
 // Hard trip codes stored in `BudgetGuard::tripped` (0 = not tripped).
 // Hard trips stop *every* subsequent phase of the run; the
 // per-execution action fuel and the interleaving-enumeration cap are
@@ -268,7 +240,6 @@ impl std::error::Error for EngineFault {}
 const TRIP_WALL_CLOCK: u8 = 1;
 const TRIP_STATES: u8 = 2;
 const TRIP_CANCELLED: u8 = 3;
-const TRIP_WORKER_PANIC: u8 = 4;
 
 /// The most `should_stop` calls that may elapse between two
 /// `Instant::now()` reads. The stride is *adaptive*: each clock sample
@@ -316,7 +287,6 @@ pub struct BudgetGuard {
     tripped: AtomicU8,
     soft_interleavings: std::sync::atomic::AtomicBool,
     soft_actions: std::sync::atomic::AtomicBool,
-    faults: AtomicUsize,
     /// The run's observability collector. Defaults to the shared
     /// disabled instance, whose recording methods are one branch — the
     /// guard stays on its fast path unless a caller opts in via
@@ -358,7 +328,6 @@ impl BudgetGuard {
             tripped: AtomicU8::new(0),
             soft_interleavings: std::sync::atomic::AtomicBool::new(false),
             soft_actions: std::sync::atomic::AtomicBool::new(false),
-            faults: AtomicUsize::new(0),
             metrics,
         }
     }
@@ -504,19 +473,13 @@ impl BudgetGuard {
         }
     }
 
-    /// Records that a degraded (post-panic) result is still partial.
-    pub fn trip_worker_panic(&self) {
-        self.trip(TRIP_WORKER_PANIC);
-    }
-
     fn trip(&self, code: u8) {
         // Counted per trip *signal* (not per winning reason), so the
         // stats show every cause that fired, first-winner or not.
         let (counter, label) = match code {
             TRIP_WALL_CLOCK => (Counter::TripWallClock, "trip:wall_clock"),
             TRIP_STATES => (Counter::TripStates, "trip:state_cap"),
-            TRIP_CANCELLED => (Counter::TripCancelled, "trip:cancelled"),
-            _ => (Counter::TripWorkerPanic, "trip:worker_panic"),
+            _ => (Counter::TripCancelled, "trip:cancelled"),
         };
         self.metrics.bump(counter);
         self.metrics.event(label, u64::from(code));
@@ -540,7 +503,6 @@ impl BudgetGuard {
             }
             TRIP_STATES => return Some(TruncationReason::BudgetExceeded(BudgetBound::States)),
             TRIP_CANCELLED => return Some(TruncationReason::Cancelled),
-            TRIP_WORKER_PANIC => return Some(TruncationReason::WorkerPanic),
             _ => {}
         }
         if self.soft_interleavings.load(Ordering::Acquire) {
@@ -550,18 +512,6 @@ impl BudgetGuard {
             return Some(TruncationReason::BudgetExceeded(BudgetBound::Actions));
         }
         None
-    }
-
-    /// Records one recovered worker fault (a quarantined panic whose
-    /// subproblem was re-run on the sequential reference engine).
-    pub fn record_fault(&self) {
-        self.faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Recovered worker faults so far.
-    #[must_use]
-    pub fn faults(&self) -> usize {
-        self.faults.load(Ordering::Relaxed)
     }
 
     /// Distinct states explored so far (all phases).
@@ -718,15 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_accounting() {
-        let g = BudgetGuard::unlimited();
-        assert_eq!(g.faults(), 0);
-        g.record_fault();
-        g.record_fault();
-        assert_eq!(g.faults(), 2);
-    }
-
-    #[test]
     fn displays() {
         assert_eq!(Completeness::Complete.to_string(), "complete");
         assert_eq!(
@@ -737,12 +678,5 @@ mod tests {
             "truncated: budget exceeded (wall-clock deadline)"
         );
         assert_eq!(TruncationReason::Cancelled.to_string(), "cancelled");
-        assert_eq!(
-            EngineFault {
-                message: "node evaluated twice".into()
-            }
-            .to_string(),
-            "parallel engine fault: node evaluated twice"
-        );
     }
 }

@@ -25,7 +25,7 @@ use transafety_traces::{Action, Loc, Monitor, Traceset, Value};
 use crate::budget::BudgetGuard;
 use crate::intern::{FxHashSet, IdMap, InternAudit, ScratchPool, StateInterner};
 use crate::metrics::{Counter, CounterTally, ExpansionKind, Phase};
-use crate::{par, Event, IndexedTraceset, Interleaving};
+use crate::{Event, IndexedTraceset, Interleaving};
 
 /// The behaviours of a program: a prefix-closed set of sequences of
 /// external-action values (§1/§5 of the paper observe programs through
@@ -459,7 +459,7 @@ impl Explorer {
     }
 
     /// Allocating form of [`moves_into`](Explorer::moves_into), for the
-    /// parallel drivers (which cannot share a scratch pool).
+    /// encode/decode audit.
     fn moves_vec(&self, state: &State) -> Vec<Move> {
         let mut out = Vec::new();
         self.moves_into(state, &mut out);
@@ -483,8 +483,7 @@ impl Explorer {
     /// [`race_dfs`](Explorer::race_dfs).)
     ///
     /// `cursor(j)` is thread `j`'s current trie node; the judgment is a
-    /// pure function of the state's cursors, so memoisation and
-    /// parallel graph deduplication stay exact.
+    /// pure function of the state's cursors, so memoisation stays exact.
     fn invisible_with<F: Fn(usize) -> usize>(&self, cursor: F, k: usize, a: &Action) -> bool {
         let others = |pred: &dyn Fn(&NodeFootprint) -> bool| {
             (0..self.space.threads).all(|j| j == k || !pred(self.footprint.future(j, cursor(j))))
@@ -536,7 +535,7 @@ impl Explorer {
     /// another thread's write, so only a thread whose entire next-step
     /// alternative set commutes with the rest of the run may be
     /// prioritised. The choice is a pure function of the state, so
-    /// memoisation and parallel graph deduplication stay exact.
+    /// memoisation stays exact.
     ///
     /// Every explorer move strictly advances a trie cursor, so the
     /// state graph is a DAG and the classic ample-set cycle proviso
@@ -563,14 +562,6 @@ impl Explorer {
             }
         }
         ExpansionKind::Full
-    }
-
-    /// Allocating form of [`por_moves_into`](Explorer::por_moves_into),
-    /// for the parallel drivers.
-    fn por_moves_vec(&self, state: &State) -> (Vec<Move>, ExpansionKind) {
-        let mut out = Vec::new();
-        let kind = self.por_moves_into(state, &mut out);
-        (out, kind)
     }
 
     /// Applies a move: clone the parent's word buffer and patch the
@@ -647,67 +638,6 @@ impl Explorer {
             metrics.add(Counter::StatesInterned, stats.keys);
         }
         (*result).clone()
-    }
-
-    /// The set of behaviours, computed on `jobs` worker threads by the
-    /// work-stealing parallel driver (see [`par`]): the reachable
-    /// state graph is built by parallel deduplicated expansion, then
-    /// the suffix-behaviour dynamic program is evaluated bottom-up in
-    /// parallel. Bit-identical to [`behaviours`](Explorer::behaviours)
-    /// for every traceset; `jobs <= 1` runs the sequential reference
-    /// implementation.
-    #[must_use]
-    pub fn behaviours_par(&self, jobs: usize) -> Behaviours {
-        self.behaviours_par_governed(jobs, &BudgetGuard::unlimited())
-    }
-
-    /// [`behaviours_par`](Explorer::behaviours_par) under a budget.
-    /// A quarantined worker panic degrades to the sequential engine
-    /// (recorded on the guard as a recovered fault).
-    #[must_use]
-    pub fn behaviours_par_governed(&self, jobs: usize, guard: &BudgetGuard) -> Behaviours {
-        if jobs <= 1 {
-            return self.behaviours_governed(guard);
-        }
-        let result = {
-            let _span = guard.metrics().span(Phase::BehaviourEval);
-            self.state_graph(jobs, guard, true)
-                .and_then(|graph| par::behaviours_of(&graph, jobs, guard.metrics()))
-        };
-        match result {
-            Ok(b) => b,
-            Err(_) => {
-                guard.record_fault();
-                self.behaviours_governed(guard)
-            }
-        }
-    }
-
-    /// Builds the explicit reachable state graph on `jobs` workers.
-    /// `reduced` applies the partial-order reduction (valid for the
-    /// behaviour DP; the execution-count DP is defined over the full
-    /// interleaving set and must pass `false`).
-    fn state_graph(
-        &self,
-        jobs: usize,
-        guard: &BudgetGuard,
-        reduced: bool,
-    ) -> Result<par::StateGraph<State>, crate::budget::EngineFault> {
-        par::build_state_graph(jobs, self.initial_state(), guard, |state| {
-            let (moves, kind) = if reduced {
-                self.por_moves_vec(state)
-            } else {
-                (self.moves_vec(state), ExpansionKind::Full)
-            };
-            guard.metrics().record_expansion(moves.len(), kind);
-            par::Expansion {
-                moves: moves
-                    .into_iter()
-                    .map(|mv| (Some(mv.action), self.apply(state, &mv)))
-                    .collect(),
-                truncated: false,
-            }
-        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -891,102 +821,6 @@ impl Explorer {
         self.race_witness().is_none()
     }
 
-    /// The parallel form of [`race_witness`](Explorer::race_witness):
-    /// the exhaustive reachability search for an adjacent conflicting
-    /// pair runs on `jobs` workers with early exit. The racy/DRF
-    /// verdict is identical to the sequential search; when a race
-    /// exists, the canonical sequential witness is reconstructed so
-    /// the returned execution is deterministic too.
-    #[must_use]
-    pub fn race_witness_par(&self, jobs: usize) -> Option<RaceWitness> {
-        self.race_witness_par_governed(jobs, &BudgetGuard::unlimited())
-    }
-
-    /// [`race_witness_par`](Explorer::race_witness_par) under a budget.
-    /// A quarantined worker panic degrades to the sequential search
-    /// (recorded on the guard as a recovered fault).
-    #[must_use]
-    pub fn race_witness_par_governed(
-        &self,
-        jobs: usize,
-        guard: &BudgetGuard,
-    ) -> Option<RaceWitness> {
-        if jobs <= 1 {
-            return self.race_witness_governed(guard);
-        }
-        let span = guard.metrics().span(Phase::RaceSearch);
-        let racy = par::parallel_reach(
-            jobs,
-            (self.initial_state(), None as Prev),
-            guard,
-            |(state, prev)| {
-                let mut found = false;
-                let mut successors = Vec::new();
-                let (moves, kind) = self.por_moves_vec(state);
-                guard.metrics().record_expansion(moves.len(), kind);
-                for mv in moves {
-                    if let Some((pk, pl, pw)) = *prev {
-                        if pk != mv.thread
-                            && mv.action.is_access_to(pl)
-                            && !pl.is_volatile()
-                            && (pw || mv.action.is_write())
-                        {
-                            found = true;
-                            break;
-                        }
-                    }
-                    // Check-before-carry, exactly as in the sequential
-                    // `race_dfs`: an ample move is race-checked above
-                    // but never overwrites the last-access tracker.
-                    let next_prev = if kind.is_ample() {
-                        if prev.is_some() {
-                            guard.metrics().record_prev_carry();
-                        }
-                        *prev
-                    } else {
-                        match mv.action {
-                            Action::Read { loc, .. } if !loc.is_volatile() => {
-                                Some((mv.thread, loc, false))
-                            }
-                            Action::Write { loc, .. } if !loc.is_volatile() => {
-                                Some((mv.thread, loc, true))
-                            }
-                            _ => None,
-                        }
-                    };
-                    successors.push((self.apply(state, &mv), next_prev));
-                }
-                par::SearchStep { successors, found }
-            },
-        );
-        drop(span);
-        let racy = match racy {
-            Ok(r) => r,
-            Err(_) => {
-                guard.record_fault();
-                return self.race_witness_governed(guard);
-            }
-        };
-        // The parallel search only decides existence; the witness path
-        // is rebuilt sequentially so parallel and sequential drivers
-        // report the same execution (racy programs yield one quickly).
-        // Reconstruction runs ungoverned: the race provably exists, so
-        // the DFS terminates at it even if the budget tripped meanwhile.
-        if racy {
-            let w = self.race_witness();
-            debug_assert!(w.is_some(), "parallel search found a race the DFS did not");
-            w
-        } else {
-            None
-        }
-    }
-
-    /// Is the traceset data race free, decided on `jobs` workers?
-    #[must_use]
-    pub fn is_data_race_free_par(&self, jobs: usize) -> bool {
-        self.race_witness_par(jobs).is_none()
-    }
-
     /// Enumerates all maximal executions, stopping at
     /// `limits.max_interleavings`. Exponential; intended for litmus-sized
     /// programs.
@@ -1111,33 +945,6 @@ impl Explorer {
         (c, saturated)
     }
 
-    /// The execution count, computed on `jobs` workers (identical to
-    /// [`count_maximal_executions`](Explorer::count_maximal_executions)).
-    #[must_use]
-    pub fn count_maximal_executions_par(&self, jobs: usize) -> u128 {
-        self.count_maximal_executions_par_checked(jobs).0
-    }
-
-    /// The checked execution count on `jobs` workers; the `bool` flags
-    /// saturation at `u128::MAX`, exactly as in
-    /// [`count_maximal_executions_checked`](Explorer::count_maximal_executions_checked).
-    #[must_use]
-    pub fn count_maximal_executions_par_checked(&self, jobs: usize) -> (u128, bool) {
-        if jobs <= 1 {
-            return self.count_maximal_executions_checked();
-        }
-        let guard = BudgetGuard::unlimited();
-        match self
-            .state_graph(jobs, &guard, false)
-            .and_then(|graph| par::count_leaves_checked(&graph, jobs, guard.metrics()))
-        {
-            Ok(c) => c,
-            // Quarantined worker panic: degrade to the sequential
-            // reference computation.
-            Err(_) => self.count_maximal_executions_checked(),
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn count(
         &self,
@@ -1214,27 +1021,6 @@ impl Explorer {
             }
         }
         interner.len()
-    }
-
-    /// The reachable-state count, computed on `jobs` workers.
-    #[must_use]
-    pub fn count_reachable_states_par(&self, jobs: usize) -> usize {
-        if jobs <= 1 {
-            return self.count_reachable_states();
-        }
-        let result = par::parallel_state_count(
-            jobs,
-            self.initial_state(),
-            &BudgetGuard::unlimited(),
-            |state| {
-                self.moves_vec(state)
-                    .iter()
-                    .map(|mv| self.apply(state, mv))
-                    .collect()
-            },
-        );
-        // Quarantined worker panic: degrade to the sequential census.
-        result.unwrap_or_else(|_| self.count_reachable_states())
     }
 
     // -----------------------------------------------------------------
@@ -1880,13 +1666,6 @@ mod tests {
                 reduced.race_witness().is_some(),
                 full.race_witness().is_some()
             );
-            for jobs in [1, 4] {
-                assert_eq!(reduced.behaviours_par(jobs), full.behaviours());
-                assert_eq!(
-                    reduced.race_witness_par(jobs).is_some(),
-                    full.race_witness().is_some()
-                );
-            }
         }
     }
 
@@ -1937,9 +1716,6 @@ mod tests {
         assert_ne!(a.thread(), b.thread());
         assert!(w.execution.is_interleaving_of(&ts));
         assert!(w.execution.is_sequentially_consistent());
-        for jobs in [1, 4] {
-            assert!(reduced.race_witness_par(jobs).is_some());
-        }
     }
 
     /// Dynamic invisibility keeps reducing after contention retires.
@@ -2012,10 +1788,6 @@ mod tests {
             full.count_maximal_executions()
         );
         assert_eq!(
-            reduced.count_maximal_executions_par(4),
-            full.count_maximal_executions()
-        );
-        assert_eq!(
             reduced.count_reachable_states(),
             full.count_reachable_states()
         );
@@ -2030,8 +1802,6 @@ mod tests {
         let ex = Explorer::new(&fig2_original());
         let (c, saturated) = ex.count_maximal_executions_checked();
         assert!(c > 0 && !saturated);
-        let (cp, saturated_par) = ex.count_maximal_executions_par_checked(4);
-        assert_eq!((cp, saturated_par), (c, false));
     }
 
     /// Two threads of 67 private single-value writes each: the state
@@ -2055,10 +1825,6 @@ mod tests {
         let (c, saturated) = ex.count_maximal_executions_checked();
         assert_eq!(c, u128::MAX, "the count must clamp, not wrap");
         assert!(saturated, "saturation must be flagged");
-        // and the parallel count (id-keyed graph + count_leaves_checked)
-        // propagates the same flag
-        let (cp, saturated_par) = ex.count_maximal_executions_par_checked(4);
-        assert_eq!((cp, saturated_par), (u128::MAX, true));
     }
 
     #[test]

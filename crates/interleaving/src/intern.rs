@@ -231,17 +231,7 @@ impl<K: Hash + Eq> StateInterner<K> {
     where
         K: Clone,
     {
-        self.intern_hashed_ref(fx_hash(key), key)
-    }
-
-    /// [`intern_ref`](StateInterner::intern_ref) with a caller-supplied
-    /// hash (which **must** be `fx_hash(key)`): lets sharded callers
-    /// hash once for both shard selection and the probe.
-    pub fn intern_hashed_ref(&mut self, hash: u64, key: &K) -> (u32, bool)
-    where
-        K: Clone,
-    {
-        debug_assert_eq!(hash, fx_hash(key), "caller-supplied hash mismatch");
+        let hash = fx_hash(key);
         self.reserve_one();
         match self.find_slot(hash, key) {
             Ok(id) => (id, false),
@@ -330,9 +320,8 @@ impl<K: Hash + Eq> StateInterner<K> {
 /// [`ExploreMetrics::record_intern`](crate::metrics::ExploreMetrics::record_intern)).
 /// `probes` counts probe sequences (one per lookup or insert), `hits`
 /// the ones that found the key, `collisions` the occupied slots
-/// stepped past; `keys / slots` is the load factor. Sums of
-/// `InternStats` across interners stay meaningful — all fields are
-/// plain totals.
+/// stepped past; `keys / slots` is the load factor. All fields are
+/// plain totals, so the metrics layer sums them across phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InternStats {
     /// Probe sequences started (lookups + inserts).
@@ -345,20 +334,6 @@ pub struct InternStats {
     pub keys: u64,
     /// Probe-table capacity in slots.
     pub slots: u64,
-}
-
-impl InternStats {
-    /// Field-wise sum (for aggregating shard stats).
-    #[must_use]
-    pub fn merged(self, other: InternStats) -> InternStats {
-        InternStats {
-            probes: self.probes + other.probes,
-            hits: self.hits + other.hits,
-            collisions: self.collisions + other.collisions,
-            keys: self.keys + other.keys,
-            slots: self.slots + other.slots,
-        }
-    }
 }
 
 /// A dense map from interner ids to values (the id-keyed replacement
@@ -479,7 +454,6 @@ mod tests {
         let key = vec![1, 2, 3];
         assert_eq!(it.intern_ref(&key), (0, true));
         assert_eq!(it.intern_ref(&key), (0, false));
-        assert_eq!(it.intern_hashed_ref(fx_hash(&key), &key), (0, false));
         assert_eq!(it.len(), 1);
     }
 

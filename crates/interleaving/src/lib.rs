@@ -65,9 +65,7 @@ pub mod metrics;
 pub mod par;
 mod wild;
 
-pub use budget::{
-    Budget, BudgetBound, BudgetGuard, CancelToken, Completeness, EngineFault, TruncationReason,
-};
+pub use budget::{Budget, BudgetBound, BudgetGuard, CancelToken, Completeness, TruncationReason};
 pub use dot::hb_dot;
 pub use event::Event;
 pub use explore::{Behaviours, ExploreLimits, Explorer, RaceWitness};

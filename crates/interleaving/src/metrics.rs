@@ -18,13 +18,11 @@
 //!   lands on one of a small number of cache-line-aligned stripes, so
 //!   parallel phases do not serialise on a single hot counter;
 //! * **phase spans** ([`Phase`], [`ExploreMetrics::span`]) — wall-time
-//!   accumulated per pipeline phase (graph build, behaviour
-//!   evaluation, race search, census, parallel drain) through RAII
-//!   guards, robust to early returns;
+//!   accumulated per pipeline phase (behaviour evaluation, race
+//!   search, census) through RAII guards, robust to early returns;
 //! * **a ring-buffered event log** ([`TraceEvent`]) — the most recent
 //!   [`RING_CAPACITY`] timestamped events (phase transitions, budget
-//!   trips, pool drains) for post-mortem dumps via
-//!   `drfcheck --trace-out`.
+//!   trips) for post-mortem dumps via `drfcheck --trace-out`.
 //!
 //! A finished run is summarised as an [`ExploreStats`] snapshot — a
 //! plain, comparable struct that the checker surfaces as
@@ -90,23 +88,12 @@ pub enum Counter {
     /// Total probe-table slots behind those keys (with
     /// [`Counter::InternKeys`], gives the aggregate load factor).
     InternSlots,
-    /// Work items executed by the parallel pool.
-    PoolTasks,
-    /// Tasks obtained by stealing from another worker's deque.
-    PoolSteals,
-    /// Times a worker parked on the idle gate.
-    PoolParks,
-    /// Idle-gate wake announcements (epoch bumps: pushes, stops,
-    /// drains).
-    PoolWakes,
     /// Wall-clock deadline trips observed.
     TripWallClock,
     /// Explored-state-cap trips observed.
     TripStates,
     /// External-cancellation trips observed.
     TripCancelled,
-    /// Worker-panic trips observed.
-    TripWorkerPanic,
     /// Interleaving-enumeration-cap (soft) trips observed.
     TripInterleavings,
     /// Per-execution action-fuel (soft) trips observed.
@@ -173,38 +160,31 @@ impl ExpansionKind {
     }
 }
 
-/// A pipeline phase timed by [`ExploreMetrics::span`]. Phases may nest
-/// (a parallel behaviour evaluation contains a graph build and a pool
-/// drain), so the per-phase times are *inclusive* and do not sum to
-/// the run's wall time.
+/// A pipeline phase timed by [`ExploreMetrics::span`]. The per-phase
+/// times are *inclusive*, so nested spans would not sum to the run's
+/// wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Parallel deduplicated expansion into an explicit state graph.
-    GraphBuild,
-    /// The behaviour-set dynamic program (sequential DFS or DAG form).
+    /// The behaviour-set dynamic program.
     BehaviourEval,
-    /// The adjacent-conflict data-race search (DFS or parallel reach).
+    /// The adjacent-conflict data-race search.
     RaceSearch,
     /// The reachable-state census.
     Census,
-    /// Bottom-up Kahn evaluation draining the parallel pool.
-    PoolDrain,
 }
 
 /// Number of [`Phase`] variants.
-const N_PHASES: usize = Phase::PoolDrain as usize + 1;
+const N_PHASES: usize = Phase::Census as usize + 1;
 
 impl Phase {
     /// Stable lower-snake name (used for event labels and JSON keys).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Phase::GraphBuild => "graph_build",
             Phase::BehaviourEval => "behaviour_eval",
             Phase::RaceSearch => "race_search",
             Phase::Census => "census",
-            Phase::PoolDrain => "pool_drain",
         }
     }
 }
@@ -368,18 +348,6 @@ impl ExploreMetrics {
         self.add(Counter::InternSlots, stats.slots);
     }
 
-    /// Records one parallel pool drain's scheduler statistics.
-    pub fn record_pool(&self, tasks: u64, steals: u64, parks: u64, wakes: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.add(Counter::PoolTasks, tasks);
-        self.add(Counter::PoolSteals, steals);
-        self.add(Counter::PoolParks, parks);
-        self.add(Counter::PoolWakes, wakes);
-        self.event("pool_drain_done", tasks);
-    }
-
     /// Appends `label`/`value` to the ring log (no-op when disabled).
     pub fn event(&self, label: &'static str, value: u64) {
         if !self.enabled {
@@ -442,14 +410,14 @@ impl ExploreMetrics {
             intern_collisions: total(Counter::InternCollisions),
             intern_keys: total(Counter::InternKeys),
             intern_slots: total(Counter::InternSlots),
-            pool_tasks: total(Counter::PoolTasks),
-            pool_steals: total(Counter::PoolSteals),
-            pool_parks: total(Counter::PoolParks),
-            pool_wakes: total(Counter::PoolWakes),
+            pool_tasks: 0,
+            pool_steals: 0,
+            pool_parks: 0,
+            pool_wakes: 0,
             trip_wall_clock: total(Counter::TripWallClock),
             trip_states: total(Counter::TripStates),
             trip_cancelled: total(Counter::TripCancelled),
-            trip_worker_panic: total(Counter::TripWorkerPanic),
+            trip_worker_panic: 0,
             trip_interleavings: total(Counter::TripInterleavings),
             trip_actions: total(Counter::TripActions),
             dpor_proviso_blocks: total(Counter::DporProvisoBlocks),
@@ -457,12 +425,12 @@ impl ExploreMetrics {
             dpor_prev_carries: total(Counter::DporPrevCarries),
             await_collapsed: total(Counter::AwaitCollapsed),
             await_wakeups: total(Counter::AwaitWakeups),
-            graph_build_nanos: self.phase_nanos[Phase::GraphBuild as usize].load(Ordering::Relaxed),
+            graph_build_nanos: 0,
             behaviour_eval_nanos: self.phase_nanos[Phase::BehaviourEval as usize]
                 .load(Ordering::Relaxed),
             race_search_nanos: self.phase_nanos[Phase::RaceSearch as usize].load(Ordering::Relaxed),
             census_nanos: self.phase_nanos[Phase::Census as usize].load(Ordering::Relaxed),
-            pool_drain_nanos: self.phase_nanos[Phase::PoolDrain as usize].load(Ordering::Relaxed),
+            pool_drain_nanos: 0,
             events: ring.events.iter().cloned().collect(),
             events_dropped: ring.dropped,
         }
@@ -554,21 +522,17 @@ impl Drop for CounterTally<'_> {
 
 fn phase_start_label(phase: Phase) -> &'static str {
     match phase {
-        Phase::GraphBuild => "phase_start:graph_build",
         Phase::BehaviourEval => "phase_start:behaviour_eval",
         Phase::RaceSearch => "phase_start:race_search",
         Phase::Census => "phase_start:census",
-        Phase::PoolDrain => "phase_start:pool_drain",
     }
 }
 
 fn phase_end_label(phase: Phase) -> &'static str {
     match phase {
-        Phase::GraphBuild => "phase_end:graph_build",
         Phase::BehaviourEval => "phase_end:behaviour_eval",
         Phase::RaceSearch => "phase_end:race_search",
         Phase::Census => "phase_end:census",
-        Phase::PoolDrain => "phase_end:pool_drain",
     }
 }
 
@@ -627,13 +591,17 @@ pub struct ExploreStats {
     pub intern_keys: u64,
     /// See [`Counter::InternSlots`].
     pub intern_slots: u64,
-    /// See [`Counter::PoolTasks`].
+    /// Always 0. This and the other pool fields (`pool_steals`,
+    /// `pool_parks`, `pool_wakes`, `graph_build_nanos`,
+    /// `pool_drain_nanos`), like `trip_worker_panic`, measured the
+    /// parallel graph drivers, which were deleted; they keep their
+    /// stats-schema keys until the next schema version prunes them.
     pub pool_tasks: u64,
-    /// See [`Counter::PoolSteals`].
+    /// Always 0 (see [`pool_tasks`](ExploreStats::pool_tasks)).
     pub pool_steals: u64,
-    /// See [`Counter::PoolParks`].
+    /// Always 0 (see [`pool_tasks`](ExploreStats::pool_tasks)).
     pub pool_parks: u64,
-    /// See [`Counter::PoolWakes`].
+    /// Always 0 (see [`pool_tasks`](ExploreStats::pool_tasks)).
     pub pool_wakes: u64,
     /// See [`Counter::TripWallClock`].
     pub trip_wall_clock: u64,
@@ -641,7 +609,7 @@ pub struct ExploreStats {
     pub trip_states: u64,
     /// See [`Counter::TripCancelled`].
     pub trip_cancelled: u64,
-    /// See [`Counter::TripWorkerPanic`].
+    /// Always 0 (see [`pool_tasks`](ExploreStats::pool_tasks)).
     pub trip_worker_panic: u64,
     /// See [`Counter::TripInterleavings`].
     pub trip_interleavings: u64,
@@ -657,7 +625,7 @@ pub struct ExploreStats {
     pub await_collapsed: u64,
     /// See [`Counter::AwaitWakeups`].
     pub await_wakeups: u64,
-    /// Inclusive wall time of [`Phase::GraphBuild`], in nanoseconds.
+    /// Always 0 (see [`pool_tasks`](ExploreStats::pool_tasks)).
     pub graph_build_nanos: u64,
     /// Inclusive wall time of [`Phase::BehaviourEval`], in nanoseconds.
     pub behaviour_eval_nanos: u64,
@@ -665,7 +633,7 @@ pub struct ExploreStats {
     pub race_search_nanos: u64,
     /// Inclusive wall time of [`Phase::Census`], in nanoseconds.
     pub census_nanos: u64,
-    /// Inclusive wall time of [`Phase::PoolDrain`], in nanoseconds.
+    /// Always 0 (see [`pool_tasks`](ExploreStats::pool_tasks)).
     pub pool_drain_nanos: u64,
     /// The tail of the event ring (at most [`RING_CAPACITY`] entries,
     /// oldest first).
@@ -817,16 +785,16 @@ mod tests {
     fn spans_time_phases_and_log_events() {
         let m = ExploreMetrics::collector();
         {
-            let _span = m.span(Phase::GraphBuild);
+            let _span = m.span(Phase::RaceSearch);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let stats = m.snapshot();
-        assert!(stats.graph_build_nanos >= 1_000_000);
+        assert!(stats.race_search_nanos >= 1_000_000);
         assert_eq!(stats.behaviour_eval_nanos, 0);
         let labels: Vec<_> = stats.events.iter().map(|e| e.label).collect();
         assert_eq!(
             labels,
-            vec!["phase_start:graph_build", "phase_end:graph_build"]
+            vec!["phase_start:race_search", "phase_end:race_search"]
         );
     }
 

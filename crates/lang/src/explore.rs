@@ -162,7 +162,7 @@ struct CfgCache {
 /// continuation's AST size (the well-founded measure of the cycle
 /// proviso). A pure function of the code, memoised per interned cfg id,
 /// so the reduced move choice stays a pure function of the state and
-/// memoisation/parallel deduplication remain exact.
+/// memoisation remains exact.
 ///
 /// Public so other memory-model backends (the TSO/PSO machines of
 /// `transafety-tso`) can run the same dynamic-invisibility and
@@ -404,9 +404,9 @@ impl<'p> ProgramExplorer<'p> {
     // -- configuration cache ------------------------------------------
 
     fn lock_cache(&self) -> std::sync::MutexGuard<'_, CfgCache> {
-        // Recover from poisoning: a quarantined worker panic must not
-        // take the sequential fallback down with it, and the cache is
-        // only ever extended, never left half-updated.
+        // Recover from poisoning: a panic caught further up must not
+        // take later analyses of this explorer down with it, and the
+        // cache is only ever extended, never left half-updated.
         self.cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -629,7 +629,7 @@ impl<'p> ProgramExplorer<'p> {
     /// of the reduced state graph contains a fully expanded state, so
     /// the reduction is sound on loop-bearing programs (no ignoring
     /// problem). The choice is a pure function of the state, keeping
-    /// memoisation and parallel deduplication exact.
+    /// memoisation exact.
     ///
     /// Returns how the expansion was reduced (metrics distinguish ample
     /// hits, proviso-forced full expansions and plain full expansions).
@@ -666,8 +666,8 @@ impl<'p> ProgramExplorer<'p> {
         }
     }
 
-    /// Allocating form of [`por_moves_into`](ProgramExplorer::por_moves_into)
-    /// for the parallel drivers (which cannot share a scratch pool).
+    /// Allocating form of [`por_moves_into`](ProgramExplorer::por_moves_into),
+    /// for the [`ScModel`] backend.
     pub(crate) fn por_moves_vec(
         &self,
         state: &CState,
@@ -853,27 +853,6 @@ impl<'p> ProgramExplorer<'p> {
         (collapsed, wakeups)
     }
 
-    /// The bounded behaviours at `jobs` workers. The verdict phases run
-    /// sequentially at every worker count (see
-    /// [`ModelExplorer::behaviours_par_governed`]), so this equals
-    /// [`behaviours`](ProgramExplorer::behaviours).
-    #[must_use]
-    pub fn behaviours_par(&self, opts: &ExploreOptions, jobs: usize) -> Bounded<Behaviours> {
-        self.behaviours_par_governed(opts, jobs, &BudgetGuard::unlimited())
-    }
-
-    /// [`behaviours_par`](ProgramExplorer::behaviours_par) under a
-    /// budget.
-    #[must_use]
-    pub fn behaviours_par_governed(
-        &self,
-        opts: &ExploreOptions,
-        jobs: usize,
-        guard: &BudgetGuard,
-    ) -> Bounded<Behaviours> {
-        ModelExplorer::new(&ScModel::new(self)).behaviours_par_governed(opts, jobs, guard)
-    }
-
     /// Searches for a data race (§3's adjacent-conflict condition over
     /// the program's executions). Exact: the program state space is
     /// finite (values are drawn from program constants), so the visited
@@ -903,34 +882,6 @@ impl<'p> ProgramExplorer<'p> {
     #[must_use]
     pub fn is_data_race_free(&self, opts: &ExploreOptions) -> bool {
         self.race_witness(opts).is_none()
-    }
-
-    /// The race search at `jobs` workers; it runs sequentially, so it
-    /// equals [`race_witness`](ProgramExplorer::race_witness).
-    #[must_use]
-    pub fn race_witness_par(&self, opts: &ExploreOptions, jobs: usize) -> Option<RaceWitness> {
-        self.race_witness_par_governed(opts, jobs, &BudgetGuard::unlimited())
-    }
-
-    /// [`race_witness_par`](ProgramExplorer::race_witness_par) under a
-    /// budget.
-    #[must_use]
-    pub fn race_witness_par_governed(
-        &self,
-        opts: &ExploreOptions,
-        jobs: usize,
-        guard: &BudgetGuard,
-    ) -> Option<RaceWitness> {
-        ModelExplorer::new(&ScModel::new(self))
-            .race_witness_par_governed(opts, jobs, guard)
-            .map(|w| w.witness)
-    }
-
-    /// Is the program data race free? The `jobs` form of
-    /// [`is_data_race_free`](ProgramExplorer::is_data_race_free).
-    #[must_use]
-    pub fn is_data_race_free_par(&self, opts: &ExploreOptions, jobs: usize) -> bool {
-        self.race_witness_par(opts, jobs).is_none()
     }
 
     /// Finds an execution whose behaviour equals `behaviour`, if one
@@ -1073,27 +1024,6 @@ impl<'p> ProgramExplorer<'p> {
         guard: &BudgetGuard,
     ) -> usize {
         ModelExplorer::new(&ScModel::new(self)).count_reachable_states_governed(opts, guard)
-    }
-
-    /// The reachable-state count at `jobs` workers; it runs
-    /// sequentially, so it equals
-    /// [`count_reachable_states`](ProgramExplorer::count_reachable_states).
-    #[must_use]
-    pub fn count_reachable_states_par(&self, opts: &ExploreOptions, jobs: usize) -> usize {
-        self.count_reachable_states_par_governed(opts, jobs, &BudgetGuard::unlimited())
-    }
-
-    /// [`count_reachable_states_par`](ProgramExplorer::count_reachable_states_par)
-    /// under a budget.
-    #[must_use]
-    pub fn count_reachable_states_par_governed(
-        &self,
-        opts: &ExploreOptions,
-        jobs: usize,
-        guard: &BudgetGuard,
-    ) -> usize {
-        ModelExplorer::new(&ScModel::new(self))
-            .count_reachable_states_par_governed(opts, jobs, guard)
     }
 
     // -----------------------------------------------------------------
@@ -1892,33 +1822,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_driver_matches_sequential() {
-        let corpus = [
-            "r2 := x; y := r2; || r1 := y; x := 1; print r1;",
-            "flag := 1; || while (flag != 1) skip; print 1;",
-            "lock m; x := 1; unlock m; || lock m; r0 := x; unlock m; print r0;",
-            "volatile v; v := 1; || r0 := v; print r0;",
-        ];
-        let opts = ExploreOptions::default();
-        for src in corpus {
-            let parsed = parse_program(src).unwrap();
-            let ex = ProgramExplorer::new(&parsed.program);
-            let seq = ex.behaviours(&opts);
-            let seq_drf = ex.is_data_race_free(&opts);
-            let seq_states = ex.count_reachable_states(&opts);
-            for jobs in [2, 4] {
-                assert_eq!(ex.behaviours_par(&opts, jobs), seq, "{src}");
-                assert_eq!(ex.is_data_race_free_par(&opts, jobs), seq_drf, "{src}");
-                assert_eq!(
-                    ex.count_reachable_states_par(&opts, jobs),
-                    seq_states,
-                    "{src}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn behaviour_fuel_reports_truncation() {
         let src = "while (r0 == r0) print 1;";
         let parsed = parse_program(src).unwrap();
@@ -1967,18 +1870,6 @@ mod tests {
                 ex.race_witness(&off).is_some(),
                 "{src}"
             );
-            for jobs in [2, 4] {
-                assert_eq!(
-                    ex.behaviours_par(&on, jobs),
-                    ex.behaviours_par(&off, jobs),
-                    "{src}"
-                );
-                assert_eq!(
-                    ex.is_data_race_free_par(&on, jobs),
-                    ex.is_data_race_free_par(&off, jobs),
-                    "{src}"
-                );
-            }
         }
     }
 
@@ -2051,9 +1942,6 @@ mod tests {
         let (a, b) = w.pair();
         assert!(a.action().conflicts_with(&b.action()));
         assert_ne!(a.thread(), b.thread());
-        for jobs in [1, 4] {
-            assert!(ex.race_witness_par(&on, jobs).is_some(), "jobs={jobs}");
-        }
     }
 
     #[test]

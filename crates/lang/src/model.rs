@@ -16,13 +16,13 @@
 //! memoised behaviour extraction, the adjacent-conflict race search and
 //! the reachable-state census — with the same budget checks, state
 //! interning and `ExploreMetrics` accounting for every model. The
-//! `*_par_governed` entry points take a worker count but run the same
-//! sequential engines (see [`ModelExplorer::behaviours_par_governed`]).
+//! `*_par_governed` entry points are shims over the same sequential
+//! engines (see [`ModelExplorer::behaviours_par_governed`]).
 //!
 //! The [`ScModel`] backend is a pure refactor of the compact SC engine:
 //! [`ProgramExplorer`]'s public entry points delegate to
 //! `ModelExplorer<ScModel>`, and the pre-existing agreement suites
-//! (POR/parallel/reference/metrics) pin the refactor to the old
+//! (POR/reference/metrics) pin the refactor to the old
 //! engines' observable output. The TSO and PSO machines of the
 //! `transafety-tso` crate implement the trait in that crate.
 //!
@@ -170,10 +170,9 @@ impl<S> Reduced<S> {
 /// equal move lists (the engines memoise and deduplicate on state
 /// identity), and the move order must be a pure function of the state
 /// (it fixes the exploration and witness order).
-pub trait MemoryModel: Sync {
-    /// The machine state. `Send + Sync` so that a worker pool can
-    /// shard it across workers.
-    type State: Clone + Eq + Hash + Send + Sync;
+pub trait MemoryModel {
+    /// The machine state.
+    type State: Clone + Eq + Hash;
 
     /// Which model this is (recorded in reports and stats).
     fn kind(&self) -> MemoryModelKind;
@@ -458,8 +457,9 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
     /// workers serialise. Summed over the 723 drfbench `check-large`
     /// ops, behaviours plus races took 1,731 ms sequentially against
     /// 2,725 ms on two pool workers; a 570,526-state SC program took
-    /// 0.98 s against 1.29–1.41 s. The `jobs` parameter stays for the
-    /// callers that pass it.
+    /// 0.98 s against 1.29–1.41 s. The three `*_par_governed` shims
+    /// stay only because the benchmark's traced replay
+    /// (`drfbench/src/ops.rs`) calls them.
     #[must_use]
     pub fn behaviours_par_governed(
         &self,

@@ -15,10 +15,10 @@
 //!
 //! * `"ok"` — the analysis ran (or was served from the verdict cache);
 //!   `verdict` is one of `racy` / `drf_proven` / `unknown`, and
-//!   `drf_proven` is only ever emitted by a **complete, fault-free**
-//!   run — every degraded path reports `unknown` or an error.
-//! * `"error"` — the request was malformed, or both the parallel run
-//!   and its sequential retry were lost to worker panics. No verdict.
+//!   `drf_proven` is only ever emitted by a **complete** run — every
+//!   degraded path reports `unknown` or an error.
+//! * `"error"` — the request was malformed, or both the first run and
+//!   its sequential retry were lost to worker panics. No verdict.
 //! * `"overloaded"` — the request was shed by admission control before
 //!   running (queue full, oldest request dropped first, never
 //!   silently).

@@ -525,12 +525,12 @@ impl Server {
         let Some(report) = report else {
             self.respond_error(
                 job,
-                "worker panicked on both the parallel run and the sequential \
+                "worker panicked on both the first run and the sequential \
                  retry; request quarantined without a verdict",
             );
             return;
         };
-        if report.completeness.is_complete() && report.faults == 0 {
+        if report.completeness.is_complete() {
             if let Some(cache) = &self.cache {
                 let entry = CacheEntry {
                     program: canonical,
@@ -556,17 +556,15 @@ impl Server {
 
     /// Answers `ok` with the fields `id`, `status`, `cmd`, `model`,
     /// `verdict`, `racy`, `behaviours`, `behaviours_complete`,
-    /// `completeness`, `cached`, `retried`, `engine_faults` and
-    /// `elapsed_micros`. There is no state count: the service never
+    /// `completeness`, `cached`, `retried` and `elapsed_micros`. There is no state count: the service never
     /// runs the reachable-state census.
     fn respond_report(&self, job: &Job, report: &AnalysisReport, retried: bool) {
         // The three-valued discipline, re-checked at the service
         // boundary: a proof may only ever leave the process on a
-        // complete, fault-free run.
+        // complete run.
         debug_assert!(
-            report.verdict != Verdict::DrfProven
-                || (report.completeness.is_complete() && report.faults == 0),
-            "degraded run must not claim a proof"
+            report.verdict != Verdict::DrfProven || report.completeness.is_complete(),
+            "truncated run must not claim a proof"
         );
         let completeness = match report.completeness {
             Completeness::Complete => "complete".to_string(),
@@ -584,7 +582,7 @@ impl Server {
             "{{\"id\":\"{}\",\"status\":\"ok\",\"cmd\":\"{}\",\"model\":\"{}\",\
              \"verdict\":\"{}\",\"racy\":{},\"behaviours\":{},\"behaviours_complete\":{},\
              \"completeness\":\"{}\",\"cached\":false,\
-             \"retried\":{},\"engine_faults\":{},\"elapsed_micros\":{}}}",
+             \"retried\":{},\"elapsed_micros\":{}}}",
             json_escape(&job.id),
             job.req.cmd.as_str(),
             report.model.as_str(),
@@ -594,7 +592,6 @@ impl Server {
             report.behaviours.complete,
             completeness,
             retried,
-            report.faults,
             micros(job.admitted.elapsed()),
         );
         self.write_line(&job.sink, &line);
@@ -610,7 +607,7 @@ impl Server {
             "{{\"id\":\"{}\",\"status\":\"ok\",\"cmd\":\"{}\",\"model\":\"{}\",\
              \"verdict\":\"{}\",\"racy\":{},\"behaviours\":{},\"behaviours_complete\":{},\
              \"completeness\":\"complete\",\"cached\":true,\
-             \"retried\":false,\"engine_faults\":0,\"elapsed_micros\":{}}}",
+             \"retried\":false,\"elapsed_micros\":{}}}",
             json_escape(&job.id),
             job.req.cmd.as_str(),
             analysis.model.as_str(),
@@ -692,7 +689,6 @@ fn reason_str(reason: TruncationReason) -> &'static str {
         TruncationReason::BudgetExceeded(BudgetBound::Interleavings) => "interleavings",
         TruncationReason::BudgetExceeded(BudgetBound::Actions) => "actions",
         TruncationReason::Cancelled => "cancelled",
-        TruncationReason::WorkerPanic => "worker_panic",
     }
 }
 

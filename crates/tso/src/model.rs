@@ -3,8 +3,8 @@
 //! These adapters put the crate's operational machines behind the
 //! pluggable backend trait of `transafety-lang`, so the generic
 //! [`ModelExplorer`](transafety_lang::ModelExplorer) — and through it
-//! the checker's `Analysis` pipeline with budgets, panic isolation,
-//! interning and metrics — runs the buffered semantics unchanged.
+//! the checker's `Analysis` pipeline with budgets, interning and
+//! metrics — runs the buffered semantics unchanged.
 //!
 //! Partial-order reduction **is** implemented here, for the
 //! [`ReductionGoal::Behaviours`] goal only. Two ample-set shapes are
@@ -20,12 +20,23 @@
 //! - **Invisible act** ([`ExpansionKind::Ample`]): the dynamic
 //!   invisibility of the SC reduction, lifted to buffers — a
 //!   non-volatile write is always invisible (it only appends to the
-//!   writer's own buffer), a read is invisible when forwarded from the
-//!   own buffer or when no other thread can ever write (or has
-//!   buffered) the location, and locks/outputs are invisible when no
-//!   other thread uses the monitor/emits output. The ast-size cycle
-//!   proviso of `transafety-lang` ([`CfgMeta`]) gates the choice, so
-//!   the reduction stays sound on loop-bearing programs.
+//!   writer's own buffer), a read is invisible when no other thread can
+//!   ever write (or has buffered) the location, and locks/outputs are
+//!   invisible when no other thread uses the monitor/emits output. The
+//!   ast-size cycle proviso of `transafety-lang` ([`CfgMeta`]) gates
+//!   the choice, so the reduction stays sound on loop-bearing programs.
+//!
+//!   A read that thread `k` would forward from its own buffer is *not*
+//!   invisible on that ground alone: the forwarded value holds only
+//!   while `k`'s entry stays buffered. In the order where `k` flushes
+//!   the entry, another thread's write to the location then lands in
+//!   memory, and only then `k` reads, the read returns the foreign
+//!   value. That order starts with a move dependent on the read (the
+//!   flush changes what it returns), so choosing the forwarded read as
+//!   a singleton ample set would violate the ample-set condition C1 and
+//!   prune the order's behaviours. Forwarded reads therefore fall under
+//!   the same "no other thread writes or buffers the location" rule as
+//!   every other read.
 //!
 //! For [`ReductionGoal::Races`] both models return the **full**
 //! expansion: the adjacent-conflict witness argument needs the tracked
@@ -102,13 +113,13 @@ fn reduce_buffered<S: Machine>(
             Action::Start(_) => unreachable!("starts are not act moves"),
             Action::Read { loc, .. } | Action::Write { loc, .. } if loc.is_volatile() => false,
             Action::Read { loc, .. } => {
-                // Forwarded reads are value-fixed by the own buffer;
-                // otherwise no other thread may ever write (or have
-                // buffered) the location.
-                state.has_buffered(k, loc)
-                    || (0..threads).all(|j| {
-                        j == k || (!metas[j].writes.contains(&loc) && !state.has_buffered(j, loc))
-                    })
+                // No other thread may ever write (or have buffered) the
+                // location — even when the read would be forwarded from
+                // the own buffer, which `k` may flush before a foreign
+                // write lands (see the module doc).
+                (0..threads).all(|j| {
+                    j == k || (!metas[j].writes.contains(&loc) && !state.has_buffered(j, loc))
+                })
             }
             // A non-volatile write only appends to the writer's own
             // buffer; its visibility happens at the (separate) flush.
@@ -200,8 +211,8 @@ impl Buffered {
     }
 
     /// Locks the configuration table. A poisoned lock is recovered: a
-    /// quarantined worker panic must not take the sequential fallback
-    /// down with it, and the table is only ever extended.
+    /// panic caught further up must not take later analyses of this
+    /// machine down with it, and the table is only ever extended.
     fn table(&self) -> MutexGuard<'_, ConfigTable> {
         self.configs.lock().unwrap_or_else(PoisonError::into_inner)
     }

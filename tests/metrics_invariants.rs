@@ -85,7 +85,6 @@ fn assert_well_formed(report: &AnalysisReport, what: &str) {
                 (s.trip_actions, "trip_actions")
             }
             TruncationReason::Cancelled => (s.trip_cancelled, "trip_cancelled"),
-            TruncationReason::WorkerPanic => (s.trip_worker_panic, "trip_worker_panic"),
         };
         assert!(counter > 0, "{what}: truncated by {reason} but {name} == 0");
     }

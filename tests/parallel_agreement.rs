@@ -1,7 +1,7 @@
 //! Determinism across worker counts: for every program in the built-in
-//! litmus corpus and every `.tsl` program shipped in `programs/`, runs
-//! at `jobs >= 2` must agree with `jobs = 1` on behaviours, race
-//! verdicts *and* race witnesses — bit-identically.
+//! litmus corpus and every `.tsl` program shipped in `programs/`, an
+//! [`Analysis`] at `jobs >= 2` must agree with `jobs = 1` on
+//! behaviours, race verdicts *and* race witnesses — bit-identically.
 //!
 //! The verdict phases run the sequential engine at every job count (the
 //! work-stealing pool lost to it at every size measured), so a parallel
@@ -12,7 +12,7 @@ mod support;
 
 use support::{configs, default_por, seeds};
 use transafety::checker::Analysis;
-use transafety::lang::{parse_program, Program, ProgramExplorer};
+use transafety::lang::{parse_program, Program};
 use transafety::litmus::{corpus, random_program};
 use transafety::traces::MemoryModelKind;
 use transafety::Budget;
@@ -39,43 +39,6 @@ fn corpus_programs() -> Vec<(String, Program)> {
         ));
     }
     out
-}
-
-#[test]
-fn behaviours_agree_across_worker_counts() {
-    for (name, program) in corpus_programs() {
-        let ex = ProgramExplorer::new(&program);
-        let opts = Analysis::new();
-        let reference = ex.behaviours(&opts.explore);
-        for jobs in [2, 4, 8] {
-            let parallel = ex.behaviours_par(&opts.explore, jobs);
-            assert_eq!(
-                parallel, reference,
-                "{name}: behaviours differ between jobs=1 and jobs={jobs}"
-            );
-        }
-    }
-}
-
-#[test]
-fn race_verdicts_and_witnesses_agree_across_worker_counts() {
-    for (name, program) in corpus_programs() {
-        let ex = ProgramExplorer::new(&program);
-        let opts = Analysis::new();
-        let reference = ex.race_witness(&opts.explore);
-        for jobs in [2, 4, 8] {
-            let parallel = ex.race_witness_par(&opts.explore, jobs);
-            assert_eq!(
-                parallel.is_some(),
-                reference.is_some(),
-                "{name}: race verdict differs between jobs=1 and jobs={jobs}"
-            );
-            assert_eq!(
-                parallel, reference,
-                "{name}: race witness differs between jobs=1 and jobs={jobs}"
-            );
-        }
-    }
 }
 
 #[test]
