@@ -12,15 +12,16 @@
 //!
 //! `cargo bench --bench e17 -- --test` runs the smoke mode: the same
 //! differential assertions and JSON emission from single fast runs,
-//! skipping the timing loops and the ≥2× speedup gate (CI machines are
-//! noisy; the gate is for the curated full run).
+//! skipping the timing loops and the timing gates (CI machines are
+//! noisy; the gates are for the curated full run).
 //!
 //! Both modes also exercise the observability layer: a calibrated
-//! corpus pass with the collector enabled must stay within 3% of the
-//! disabled-collector wall time, the interner probe/hit/collision
-//! counters must show the interning actually paying off (every state
-//! revisit is a cheap probe hit, load factor capped at 3/4), and the
-//! full counter snapshot lands in the JSON report under `"stats"`.
+//! corpus pass measures the enabled collector's wall-time cost against
+//! a disabled one (gated at 3% in the full run only; smoke mode reports
+//! it), the interner probe/hit/collision counters must show the
+//! interning actually paying off (every state revisit is a cheap probe
+//! hit, load factor capped at 3/4), and the full counter snapshot lands
+//! in the JSON report under `"stats"`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -334,15 +335,17 @@ fn interned_vs_reference(c: &mut Criterion) {
         stats.load_factor()
     );
     assert_interning_quality(&stats);
+    write_report(&rows, speedup, smoke, overhead, &stats);
+    if smoke {
+        // smoke mode: deterministic assertions + report only; its 15
+        // short passes are too noisy for the timing gates below
+        return;
+    }
     assert!(
         overhead <= 0.03,
         "metrics collector costs {:.2}% wall time (bound: 3%)",
         overhead * 100.0
     );
-    write_report(&rows, speedup, smoke, overhead, &stats);
-    if smoke {
-        return; // smoke mode: assertions + report only, no timing loops
-    }
     assert!(
         speedup >= 2.0,
         "interned engine must be >= 2x the reference on the corpus DFS paths, got {speedup:.2}x"

@@ -69,8 +69,9 @@ pub struct Analysis {
     /// Worker threads, `1` by default. The verdict phases and the
     /// census run the sequential engine at every value; higher values
     /// fan `classify`'s traceset extractions and the no-thin-air
-    /// closure scan out over a work-stealing pool. Results are
-    /// identical either way.
+    /// closure scan out over up to that many threads
+    /// ([`parallel_map`](transafety_interleaving::par::parallel_map)).
+    /// Results are identical either way.
     pub jobs: usize,
     /// Resource budget for the analysis: wall-clock deadline, interned
     /// state cap and the interleaving-enumeration cap. Exceeding any
@@ -255,11 +256,11 @@ impl Analysis {
     /// [`Truncated`](Completeness::Truncated) instead of the process
     /// hanging or dying.
     ///
-    /// Every exit from this method is graceful: exceeding a budget
-    /// bound, being cancelled, or losing a parallel worker to a panic
-    /// (quarantined, siblings cancelled, computation retried on the
-    /// sequential reference engine) all produce a report that says
-    /// exactly how far the analysis got and what stopped it.
+    /// Exceeding a budget bound or being cancelled produces a report
+    /// that says exactly how far the analysis got and what stopped it.
+    /// The verdict phases run on the calling thread, so a panic inside
+    /// them is not caught here; callers that must survive one (the
+    /// batch service, the fuzz driver) wrap the call in `catch_unwind`.
     #[must_use]
     pub fn run_with_cancel(&self, program: &Program, cancel: CancelToken) -> AnalysisReport {
         let (guard, collector) = self.governor(cancel);

@@ -1,26 +1,19 @@
-//! Fault isolation end to end on the pool's remaining users: a worker
-//! that panics is quarantined by the pool, and `parallel_map`
-//! recomputes the items it left unmapped on the calling thread — same
-//! answer as at jobs 1, process alive.
+//! Fault isolation end to end on `parallel_map`'s users: an item that
+//! panics on a worker is quarantined, and the map recomputes it on the
+//! calling thread — same answer as at jobs 1, process alive.
 //!
 //! The verdict phases of `Analysis` run sequentially at every job
-//! count and never start the pool. The pool's users here are
-//! `classify`'s traceset pair and the no-thin-air closure scan.
+//! count and never start the map. Its users here are `classify`'s
+//! traceset pair and the no-thin-air closure scan.
 //!
 //! This file holds a single test: the injection hook is a
-//! process-global one-shot, so a sibling test running a pool
+//! process-global one-shot, so a sibling test running a map
 //! concurrently could consume the armed panic.
 
 use transafety_checker::{classify_transformation, no_thin_air, Analysis, Verdict};
-use transafety_interleaving::par::{self, TaskContext};
+use transafety_interleaving::par;
 use transafety_lang::parse_program;
 use transafety_traces::Value;
-
-/// Runs a no-op pool and reports how many of its tasks panicked: 1 when
-/// the hook was still armed, 0 when some earlier pool consumed it.
-fn armed_panics_left() -> usize {
-    par::run_tasks(2, vec![0u8, 1], |_, _ctx: &TaskContext<'_, u8>| {}).panics
-}
 
 #[test]
 fn injected_worker_panic_is_recomputed_by_the_pools_users() {
@@ -28,20 +21,20 @@ fn injected_worker_panic_is_recomputed_by_the_pools_users() {
     let original = program("r0 := x; r1 := x; print r1; || x := 1;");
     let transformed = program("r0 := x; r1 := r0; print r1; || x := 1;");
 
-    // The analysis never starts the pool, so an armed panic stays
-    // armed through it.
+    // The analysis never starts the map, so an armed panic stays armed
+    // through it.
     par::arm_worker_panic();
     let report = Analysis::new().jobs(4).run(&original);
     assert!(report.completeness.is_complete());
     assert_eq!(report.verdict, Verdict::Racy);
-    assert_eq!(armed_panics_left(), 1, "the analysis consumed the hook");
+    assert!(par::worker_panic_armed(), "the analysis consumed the hook");
 
     // classify extracts its traceset pair with `parallel_map` on two
     // workers: the poisoned extraction is recomputed inline.
     let reference = classify_transformation(&transformed, &original, &Analysis::new());
     par::arm_worker_panic();
     let class = classify_transformation(&transformed, &original, &Analysis::new().jobs(2));
-    assert_eq!(armed_panics_left(), 0, "classify's pool did not run");
+    assert!(!par::worker_panic_armed(), "classify's map did not run");
     assert_eq!(class, reference);
 
     // The no-thin-air scan fans the transformation closure out the
@@ -50,10 +43,9 @@ fn injected_worker_panic_is_recomputed_by_the_pools_users() {
     let reference = no_thin_air(&original, seven, 2, &Analysis::new());
     par::arm_worker_panic();
     let verdict = no_thin_air(&original, seven, 2, &Analysis::new().jobs(4));
-    assert_eq!(
-        armed_panics_left(),
-        0,
-        "the closure scan's pool did not run"
+    assert!(
+        !par::worker_panic_armed(),
+        "the closure scan's map did not run"
     );
     assert_eq!(verdict, reference);
 }

@@ -273,7 +273,9 @@ extern "C" fn on_signal(_signum: i32) {
 }
 
 const SIGINT: i32 = 2;
+const SIGPIPE: i32 = 13;
 const SIGTERM: i32 = 15;
+const SIG_DFL: usize = 0;
 
 extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
@@ -289,6 +291,18 @@ fn install_signal_handlers() {
     unsafe {
         signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
         signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
+    }
+}
+
+/// Restores the default SIGPIPE action, which the Rust runtime sets to
+/// "ignore": a command whose stdout closes early (`drfcheck litmus |
+/// head`) then ends quietly, like any other Unix filter, instead of
+/// panicking on its next print. `serve` keeps ignoring the signal, or
+/// a socket client that disconnects would kill the server.
+fn restore_default_sigpipe() {
+    // SAFETY: installing the default action runs no handler code.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
     }
 }
 
@@ -472,7 +486,12 @@ fn parse_flags(args: &[String]) -> Result<(Analysis, StatsFlags, Vec<String>), S
 fn main() -> ExitCode {
     install_signal_handlers();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = parse_flags(&args).and_then(|(opts, stats, rest)| run(&rest, &opts, &stats));
+    let result = parse_flags(&args).and_then(|(opts, stats, rest)| {
+        if rest.first().map(String::as_str) != Some("serve") {
+            restore_default_sigpipe();
+        }
+        run(&rest, &opts, &stats)
+    });
     match result {
         Ok(code) => code,
         Err(e) => {
@@ -871,11 +890,7 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
             let stdout = std::io::stdout();
             let mut out = stdout.lock();
             for i in &execs {
-                if writeln!(out, "{i}").is_err() {
-                    // Downstream closed the pipe (e.g. `| head`); stop
-                    // quietly instead of panicking on the next print.
-                    return Ok(ExitCode::SUCCESS);
-                }
+                writeln!(out, "{i}").map_err(|e| format!("cannot write to stdout: {e}"))?;
             }
             if capped {
                 eprintln!(

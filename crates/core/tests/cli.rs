@@ -250,6 +250,27 @@ fn sigint_flushes_partial_report_and_exits_4() {
 }
 
 #[test]
+#[cfg(unix)]
+fn closed_stdout_ends_the_process_quietly_by_sigpipe() {
+    use std::os::unix::process::ExitStatusExt;
+    for args in [&["litmus"][..], &["executions", "sb"]] {
+        // The reader is gone before the child starts, so its first
+        // write fails every time.
+        let (reader, writer) = std::io::pipe().expect("pipe opens");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_drfcheck"))
+            .args(args)
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .expect("drfcheck runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr, "", "{args:?}");
+        assert_eq!(out.status.signal(), Some(13), "{args:?}: {:?}", out.status);
+    }
+}
+
+#[test]
 fn litmus_lists_corpus() {
     let (out, ok) = drfcheck(&["litmus"]);
     assert!(ok);

@@ -1,11 +1,10 @@
-//! The soak driver: sustained differential fuzzing over the PR 1
-//! work-stealing pool.
+//! The soak driver: sustained differential fuzzing, one case per item
+//! of [`transafety_interleaving::par::parallel_map`].
 //!
-//! Each case is one task on [`transafety_interleaving::par::run_tasks`]:
-//! derive a (program, pipeline, model) triple deterministically from
-//! the master seed and the case index, run the
+//! Each case derives a (program, pipeline, model) triple
+//! deterministically from the master seed and the case index, runs the
 //! [oracle](crate::oracle::check_pair) under the per-case budget inside
-//! a `catch_unwind` fault boundary, and fold the outcome into the run's
+//! a `catch_unwind` fault boundary, and folds the outcome into the run's
 //! [`FuzzStats`].  Divergences are minimised on the spot (violations
 //! always; expected divergences up to a per-run witness cap, so a racy
 //! corpus cannot turn the soak into a shrinking marathon).
@@ -15,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use transafety_interleaving::par::run_tasks;
+use transafety_interleaving::par::parallel_map;
 use transafety_interleaving::Budget;
 use transafety_lang::Program;
 use transafety_litmus::{random_program, GeneratorConfig, Rng};
@@ -135,7 +134,7 @@ fn witness_from(minimised: &crate::shrink::Minimised, model: MemoryModelKind) ->
 }
 
 /// Run the seeded known-unsafe cases followed by `config.pairs` random
-/// cases over the work-stealing pool.
+/// cases, fanned out over `config.jobs` threads by `parallel_map`.
 #[must_use]
 pub fn run_soak(config: &SoakConfig) -> SoakReport {
     let mut stats = FuzzStats::default();
@@ -176,7 +175,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
     };
 
     let indices: Vec<u64> = (0..config.pairs).collect();
-    run_tasks(config.jobs.max(1), indices, |index, _ctx| {
+    parallel_map(config.jobs.max(1), &indices, |&index| {
         let model = models[(index % models.len() as u64) as usize];
         let oracle = OracleConfig {
             model,
@@ -184,9 +183,9 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
             jobs: 1,
             por: config.por,
         };
-        // The fault boundary: a panicking case must neither poison the
-        // pool (early drain) nor take the run down — it is counted and
-        // the soak moves on, exactly like the serve worker boundary.
+        // The fault boundary: a panicking case must not take the run
+        // down (nor be recomputed by the map) — it is counted and the
+        // soak moves on, exactly like the serve worker boundary.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let (program, pipeline) = derive_case(config.seed, index, &config.pipeline);
             let report = check_pair(&program, &pipeline, &oracle);
@@ -288,8 +287,9 @@ mod tests {
         assert!(a.clean(), "violations: {:?}", a.violations);
         assert_eq!(a.stats.pairs_checked, 60 + 2); // + seeded cases
         assert_eq!(a.stats.seeded_detected, 2);
-        // counters (not latencies) are schedule-independent
-        let b = run_soak(&config);
+        // counters (not latencies) depend on neither the schedule nor
+        // the job count
+        let b = run_soak(&SoakConfig { jobs: 1, ..config });
         assert_eq!(a.stats.refines, b.stats.refines);
         assert_eq!(a.stats.identity, b.stats.identity);
         assert_eq!(a.stats.expected_divergences, b.stats.expected_divergences);

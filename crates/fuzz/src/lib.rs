@@ -19,8 +19,8 @@
 //! 3. [`shrink`] delta-debugs a failing pair down to a minimal witness
 //!    (statement/thread removal and constant simplification on the
 //!    program side, drop/truncate/halve on the pipeline side);
-//! 4. [`driver`] soaks 10⁵+ (program, pipeline) pairs per run over the
-//!    work-stealing pool, every case inside a per-case
+//! 4. [`driver`] soaks 10⁵+ (program, pipeline) pairs per run across
+//!    `--jobs` threads, every case inside a per-case
 //!    [`Budget`](transafety_interleaving::Budget) and `catch_unwind`
 //!    fault boundary, and reports a `fuzz` section in the
 //!    `drfcheck-stats-v2` JSON ([`stats`]).

@@ -40,8 +40,8 @@ pub struct OracleConfig {
     /// Per-side exploration budget (a case runs at most two full
     /// analyses plus, on divergence, one classification).
     pub budget: Budget,
-    /// Worker threads handed to each analysis (keep at 1 inside a
-    /// fuzzing pool; the pool itself provides the parallelism).
+    /// Worker threads handed to each analysis (keep at 1 inside the
+    /// fuzz driver, which already runs cases in parallel).
     pub jobs: usize,
     /// Partial-order reduction toggle (mirrors `TRANSAFETY_NO_POR`).
     pub por: bool,

@@ -14,9 +14,8 @@
 //! [`BudgetGuard::with_metrics`](crate::BudgetGuard::with_metrics)),
 //! the collector provides:
 //!
-//! * **striped atomic counters** ([`Counter`]) — each worker thread
-//!   lands on one of a small number of cache-line-aligned stripes, so
-//!   parallel phases do not serialise on a single hot counter;
+//! * **atomic counters** ([`Counter`]) — one array per collector, which
+//!   hot loops batch into through a [`CounterTally`];
 //! * **phase spans** ([`Phase`], [`ExploreMetrics::span`]) — wall-time
 //!   accumulated per pipeline phase (behaviour evaluation, race
 //!   search, census) through RAII guards, robust to early returns;
@@ -29,17 +28,11 @@
 //! `AnalysisReport::stats` and that serialises to a stable JSON schema
 //! ([`ExploreStats::to_json`], schema id [`STATS_SCHEMA`]).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::intern::InternStats;
-
-/// Number of counter stripes. Each thread is pinned to one stripe, so
-/// up to this many workers bump counters without cache-line contention;
-/// beyond that, stripes are shared round-robin (still correct, merely
-/// contended).
-const STRIPES: usize = 8;
 
 /// Capacity of the post-mortem event ring: once full, the oldest event
 /// is dropped for each new one (the drop count is reported in
@@ -53,7 +46,7 @@ pub const RING_CAPACITY: usize = 1024;
 pub const STATS_SCHEMA: &str = "drfcheck-stats-v2";
 
 /// One observable quantity of an exploration run. The discriminant
-/// indexes the counter stripes, so the enum is `#[repr(usize)]`.
+/// indexes the counter array, so the enum is `#[repr(usize)]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
@@ -122,7 +115,7 @@ pub enum Counter {
     AwaitWakeups,
 }
 
-/// Number of [`Counter`] variants (the stripe width).
+/// Number of [`Counter`] variants (the counter array's length).
 const N_COUNTERS: usize = Counter::AwaitWakeups as usize + 1;
 
 /// How one state expansion was reduced (or not). Recorded by
@@ -220,32 +213,6 @@ impl RingLog {
     }
 }
 
-/// One cache-line-aligned stripe of counters (the alignment keeps
-/// stripes from false-sharing a line even on 128-byte-fetch hardware).
-#[derive(Debug)]
-#[repr(align(128))]
-struct Stripe {
-    counters: [AtomicU64; N_COUNTERS],
-}
-
-impl Stripe {
-    fn new() -> Self {
-        Stripe {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Round-robin stripe assignment: each thread takes the next stripe
-/// index on first use and keeps it for its lifetime.
-fn stripe_index() -> usize {
-    static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-    }
-    STRIPE.with(|s| *s)
-}
-
 /// The metrics collector for one analysis run.
 ///
 /// Created enabled by [`ExploreMetrics::collector`] and attached to a
@@ -257,7 +224,7 @@ fn stripe_index() -> usize {
 pub struct ExploreMetrics {
     enabled: bool,
     epoch: Instant,
-    stripes: Vec<Stripe>,
+    counters: [AtomicU64; N_COUNTERS],
     phase_nanos: [AtomicU64; N_PHASES],
     ring: Mutex<RingLog>,
 }
@@ -267,7 +234,7 @@ impl ExploreMetrics {
         ExploreMetrics {
             enabled,
             epoch: Instant::now(),
-            stripes: (0..STRIPES).map(|_| Stripe::new()).collect(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_nanos: std::array::from_fn(|_| AtomicU64::new(0)),
             ring: Mutex::new(RingLog::default()),
         }
@@ -299,7 +266,7 @@ impl ExploreMetrics {
         if !self.enabled {
             return;
         }
-        self.stripes[stripe_index()].counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1 to `counter` (no-op when disabled).
@@ -386,12 +353,7 @@ impl ExploreMetrics {
     /// Summarises everything recorded so far.
     #[must_use]
     pub fn snapshot(&self) -> ExploreStats {
-        let total = |c: Counter| -> u64 {
-            self.stripes
-                .iter()
-                .map(|s| s.counters[c as usize].load(Ordering::Relaxed))
-                .sum()
-        };
+        let total = |c: Counter| self.counters[c as usize].load(Ordering::Relaxed);
         let ring = self
             .ring
             .lock()
@@ -439,18 +401,17 @@ impl ExploreMetrics {
 
 /// A stack-local counter batch for single-thread hot loops.
 ///
-/// Even uncontended, [`ExploreMetrics::add`] costs a thread-local
-/// stripe lookup plus an atomic RMW — a measurable tax when a DFS bumps
-/// several counters per explored state. A tally turns those into plain
-/// [`Cell`](std::cell::Cell) additions and pays the striped atomics
-/// once per counter when dropped, so the whole loop costs what a
-/// handful of direct `add` calls would. Recording into a tally is so
-/// cheap it skips the enabled check; the flush discards everything when
-/// the collector is disabled.
+/// Even uncontended, [`ExploreMetrics::add`] costs an atomic RMW — a
+/// measurable tax when a DFS bumps several counters per explored
+/// state. A tally turns those into plain [`Cell`](std::cell::Cell)
+/// additions and pays the atomics once per counter when dropped, so
+/// the whole loop costs what a handful of direct `add` calls would.
+/// Recording into a tally is so cheap it skips the enabled check; the
+/// flush discards everything when the collector is disabled.
 ///
 /// Takes `&self` so recursive explorers can share one tally without
-/// threading `&mut` through the recursion. Not `Sync`: parallel phases
-/// keep recording straight into the striped collector.
+/// threading `&mut` through the recursion. Not `Sync`: code recording
+/// from several threads at once uses the collector directly.
 #[derive(Debug)]
 pub struct CounterTally<'a> {
     metrics: &'a ExploreMetrics,
@@ -510,8 +471,7 @@ impl Drop for CounterTally<'_> {
         if !self.metrics.enabled {
             return;
         }
-        let stripe = &self.metrics.stripes[stripe_index()];
-        for (slot, count) in stripe.counters.iter().zip(&self.counts) {
+        for (slot, count) in self.metrics.counters.iter().zip(&self.counts) {
             let n = count.get();
             if n != 0 {
                 slot.fetch_add(n, Ordering::Relaxed);

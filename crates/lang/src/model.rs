@@ -451,8 +451,9 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
     /// sequential engine at every `jobs`, so a jobs-N report and its
     /// stats equal the jobs-1 ones.
     ///
-    /// No verdict phase runs on the work-stealing pool: on a 2-vCPU
-    /// host the pool lost to this engine at every size measured,
+    /// No verdict phase runs in parallel: on a 2-vCPU host the
+    /// work-stealing pool (since deleted) lost to this engine at every
+    /// size measured,
     /// because every expansion takes one per-program mutex and the
     /// workers serialise. Summed over the 723 drfbench `check-large`
     /// ops, behaviours plus races took 1,731 ms sequentially against

@@ -6,9 +6,8 @@
 //! socket clients via [`Server::run_unix_listener`]), pass through a
 //! **bounded admission queue**, and are processed by a fixed pool of
 //! worker threads, each running the ordinary [`Analysis`] pipeline —
-//! with the work-stealing exploration pool, budgets, metrics and panic
-//! quarantine of the in-process engine — plus the service-level
-//! robustness machinery:
+//! with the budgets and metrics of the in-process engine — plus the
+//! service-level robustness machinery:
 //!
 //! * **backpressure, not collapse** — when the queue is full the
 //!   *oldest* queued request is shed with an explicit `overloaded`

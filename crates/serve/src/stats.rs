@@ -13,9 +13,7 @@
 //! ```
 //!
 //! Counters are accumulated under one mutex: requests are heavyweight
-//! (a full exploration each), so per-request locking is noise — the
-//! striped-counter machinery of the exploration layer would be
-//! over-engineering here.
+//! (a full exploration each), so per-request locking is noise.
 
 use std::time::Duration;
 

@@ -4,7 +4,7 @@
 //! behaviours, race verdicts *and* race witnesses — bit-identically.
 //!
 //! The verdict phases run the sequential engine at every job count (the
-//! work-stealing pool lost to it at every size measured), so a parallel
+//! deleted parallel search lost to it at every size measured), so a parallel
 //! analysis *is* a jobs-1 analysis, down to the stats counters. `jobs`
 //! still fans out the guarantee checker's traceset work.
 
