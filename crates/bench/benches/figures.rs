@@ -5,7 +5,7 @@
 use std::hint::black_box;
 use transafety_bench::{criterion_group, criterion_main, Criterion};
 
-use transafety::checker::{behaviours, Analysis};
+use transafety::checker::Analysis;
 use transafety::interleaving::{Event, Interleaving};
 use transafety::lang::{extract_traceset, ExtractOptions};
 use transafety::litmus::parse_pair;
@@ -26,8 +26,8 @@ fn e1_intro(c: &mut Criterion) {
     let opts = Analysis::new();
     c.bench_function("E1/intro_behaviour_check", |b| {
         b.iter(|| {
-            let bo = behaviours(black_box(&original), &opts).value;
-            let bt = behaviours(black_box(&transformed), &opts).value;
+            let bo = opts.behaviours(black_box(&original)).output.value;
+            let bt = opts.behaviours(black_box(&transformed)).output.value;
             assert!(!bo.contains(&vec![v(1)]) && bt.contains(&vec![v(1)]));
             (bo.len(), bt.len())
         })
@@ -70,8 +70,8 @@ fn e4_fig3(c: &mut Criterion) {
     let opts = Analysis::new();
     c.bench_function("E4/fig3_two_zero_check", |b| {
         b.iter(|| {
-            let ba = behaviours(black_box(&a), &opts).value;
-            let bc = behaviours(black_box(&cc), &opts).value;
+            let ba = opts.behaviours(black_box(&a)).output.value;
+            let bc = opts.behaviours(black_box(&cc)).output.value;
             let zz = vec![v(0), v(0)];
             assert!(!ba.contains(&zz) && bc.contains(&zz));
         })

@@ -5,49 +5,39 @@
 use std::hint::black_box;
 use transafety_bench::{criterion_group, criterion_main, Criterion};
 
-use transafety::lang::{ExploreOptions, ModelExplorer, ProgramExplorer};
 use transafety::traces::Value;
-use transafety::tso::{explain_tso, TsoModel};
+use transafety::{Analysis, MemoryModelKind};
 use transafety_bench::corpus_program;
 
 fn tso_vs_sc_exploration(c: &mut Criterion) {
-    let opts = ExploreOptions::default();
     let mut group = c.benchmark_group("E11/exploration");
     for name in ["sb", "mp", "lb", "corr"] {
         let p = corpus_program(name);
-        group.bench_function(format!("sc/{name}"), |b| {
-            b.iter(|| {
-                ProgramExplorer::new(black_box(&p))
-                    .behaviours(&opts)
-                    .value
-                    .len()
-            })
-        });
-        group.bench_function(format!("tso/{name}"), |b| {
-            b.iter(|| {
-                let model = TsoModel::new(black_box(&p));
-                ModelExplorer::new(&model).behaviours(&opts).value.len()
-            })
-        });
+        for model in [MemoryModelKind::Sc, MemoryModelKind::Tso] {
+            let analysis = Analysis::new().model(model);
+            group.bench_function(format!("{model}/{name}"), |b| {
+                b.iter(|| analysis.behaviours(black_box(&p)).output.value.len())
+            });
+        }
     }
     group.finish();
 }
 
 fn tso_explained(c: &mut Criterion) {
-    let opts = ExploreOptions::default();
+    let tso = Analysis::new().model(MemoryModelKind::Tso);
     let sb = corpus_program("sb");
     c.bench_function("E11/explain_sb_depth3", |b| {
         b.iter(|| {
-            let e = explain_tso(black_box(&sb), 3, &opts);
+            let e = tso.explain(black_box(&sb), 3).output;
             assert!(e.relaxed && e.explained);
-            assert!(e.tso.contains(&vec![Value::new(0), Value::new(0)]));
+            assert!(e.behaviours.contains(&vec![Value::new(0), Value::new(0)]));
             e.closure_size
         })
     });
     let mp = corpus_program("mp");
     c.bench_function("E11/explain_mp_depth2", |b| {
         b.iter(|| {
-            let e = explain_tso(black_box(&mp), 2, &opts);
+            let e = tso.explain(black_box(&mp), 2).output;
             assert!(!e.relaxed && e.explained);
             e.closure_size
         })
@@ -55,13 +45,10 @@ fn tso_explained(c: &mut Criterion) {
 }
 
 fn tso_state_space(c: &mut Criterion) {
-    let opts = ExploreOptions::default();
+    let tso = Analysis::new().model(MemoryModelKind::Tso);
     let p = corpus_program("iriw");
     c.bench_function("E11/tso_states_iriw", |b| {
-        b.iter(|| {
-            let model = TsoModel::new(black_box(&p));
-            ModelExplorer::new(&model).count_reachable_states(&opts)
-        })
+        b.iter(|| tso.census(black_box(&p)).output)
     });
 }
 

@@ -3,46 +3,11 @@
 
 use std::fmt;
 
-use transafety_interleaving::{Behaviours, RaceWitness};
+use transafety_interleaving::RaceWitness;
 use transafety_lang::{Program, ProgramExplorer};
 use transafety_traces::Value;
 
 use crate::Analysis;
-
-/// The behaviours of a program under the configured bounds (the direct
-/// state-space engine).
-#[must_use]
-pub fn behaviours(program: &Program, opts: &Analysis) -> transafety_lang::Bounded<Behaviours> {
-    ProgramExplorer::new(program).behaviours(&opts.explore)
-}
-
-/// Is the program data race free (§3)?
-#[must_use]
-pub fn is_data_race_free(program: &Program, opts: &Analysis) -> bool {
-    ProgramExplorer::new(program).is_data_race_free(&opts.explore)
-}
-
-/// A data race witness for the program, if any.
-#[must_use]
-pub fn race_witness(program: &Program, opts: &Analysis) -> Option<RaceWitness> {
-    ProgramExplorer::new(program).race_witness(&opts.explore)
-}
-
-/// Behaviours on an explorer the caller already built — the multi-step
-/// checks below construct one explorer per program and reuse it, so the
-/// interned configuration space is shared across the race search and the
-/// behaviour computation instead of being rebuilt per query.
-fn behaviours_on(
-    ex: &ProgramExplorer<'_>,
-    opts: &Analysis,
-) -> transafety_lang::Bounded<Behaviours> {
-    ex.behaviours(&opts.explore)
-}
-
-/// Race witness on an explorer the caller already built.
-fn race_witness_on(ex: &ProgramExplorer<'_>, opts: &Analysis) -> Option<RaceWitness> {
-    ex.race_witness(&opts.explore)
-}
 
 /// An execution of the program exhibiting exactly the given behaviour,
 /// if one exists within the bounds — used to turn
@@ -110,8 +75,8 @@ fn behaviour_refinement_on(
     ex_o: &ProgramExplorer<'_>,
     opts: &Analysis,
 ) -> Refinement {
-    let bt = behaviours_on(ex_t, opts);
-    let bo = behaviours_on(ex_o, opts);
+    let bt = ex_t.behaviours(&opts.explore);
+    let bo = ex_o.behaviours(&opts.explore);
     if !bt.complete || !bo.complete {
         return Refinement::Inconclusive;
     }
@@ -175,7 +140,7 @@ pub fn drf_guarantee(transformed: &Program, original: &Program, opts: &Analysis)
     // the behaviour computation share the interned configuration space.
     let ex_t = ProgramExplorer::new(transformed);
     let ex_o = ProgramExplorer::new(original);
-    if let Some(w) = race_witness_on(&ex_o, opts) {
+    if let Some(w) = ex_o.race_witness(&opts.explore) {
         return DrfVerdict::OriginalRacy(Box::new(w));
     }
     match behaviour_refinement_on(&ex_t, &ex_o, opts) {
@@ -183,7 +148,7 @@ pub fn drf_guarantee(transformed: &Program, original: &Program, opts: &Analysis)
         Refinement::NewBehaviour(b) => return DrfVerdict::NewBehaviour(b),
         Refinement::Refines => {}
     }
-    match race_witness_on(&ex_t, opts) {
+    match ex_t.race_witness(&opts.explore) {
         Some(w) => DrfVerdict::RaceIntroduced(Box::new(w)),
         None => DrfVerdict::Holds,
     }
@@ -225,8 +190,8 @@ mod tests {
         // the SC-only baseline rejects this elimination
         assert!(!sc_only_accepts(&transformed, &original, &opts));
         // and indeed the new behaviour is [1, 0]
-        let bt = behaviours(&transformed, &opts).value;
-        let bo = behaviours(&original, &opts).value;
+        let bt = opts.behaviours(&transformed).output.value;
+        let bo = opts.behaviours(&original).output.value;
         let one_zero = vec![Value::new(1), Value::new(0)];
         assert!(bt.contains(&one_zero) && !bo.contains(&one_zero));
     }

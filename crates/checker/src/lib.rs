@@ -51,20 +51,17 @@ pub use correspondence::{
 };
 pub use delay_set::{access_sites, delay_set, delay_stats, AccessSite, DelaySet, DelayStats};
 pub use guarantee::{
-    behaviour_refinement, behaviours, drf_guarantee, execution_with_behaviour, is_data_race_free,
-    race_witness, sc_only_accepts, DrfVerdict, Refinement,
+    behaviour_refinement, drf_guarantee, execution_with_behaviour, sc_only_accepts, DrfVerdict,
+    Refinement,
 };
 pub use oota::{no_thin_air, traceset_has_origin, OotaVerdict};
-pub use options::{Analysis, AnalysisReport, CensusReport, Verdict};
+pub use options::{Analysis, AnalysisReport, CensusReport, PhaseReport, Verdict};
 pub use transafety_interleaving::{
     Budget, BudgetBound, CancelToken, Completeness, ExploreStats, TraceEvent, TruncationReason,
 };
 pub use transafety_lang::{MemoryModel, ModelExplorer, ModelRaceWitness, ScheduleStep};
 pub use transafety_traces::MemoryModelKind;
 pub use transafety_transform::EliminationKind;
-// The per-model witness diagnostics (§8), so a `--model tso`/`pso` race
-// report can be explained without depending on the tso crate directly.
-pub use transafety_tso::{
-    explain_pso, explain_tso, pso_fragment, tso_fragment, PsoExplanation, PsoModel, TsoExplanation,
-    TsoModel,
-};
+// The §8 explanation that `Analysis::explain` reports, so its result can
+// be named without depending on the tso crate directly.
+pub use transafety_tso::Explanation;

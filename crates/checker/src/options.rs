@@ -8,7 +8,6 @@
 //! [`ExploreLimits`](transafety_interleaving::ExploreLimits) via its
 //! `explore` field and [`Analysis::limits`].
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use transafety_interleaving::{
@@ -21,7 +20,7 @@ use transafety_lang::{
 };
 use transafety_traces::{Domain, MemoryModelKind};
 use transafety_transform::EliminationOptions;
-use transafety_tso::{PsoModel, TsoModel};
+use transafety_tso::{explain, Explanation, PsoModel, TsoModel};
 
 /// Bounds, domains and parallelism used by every checker entry point.
 ///
@@ -263,25 +262,14 @@ impl Analysis {
     /// batch service, the fuzz driver) wrap the call in `catch_unwind`.
     #[must_use]
     pub fn run_with_cancel(&self, program: &Program, cancel: CancelToken) -> AnalysisReport {
-        let (guard, collector) = self.governor(cancel);
-        let (behaviours, model_race) = with_model(
-            program,
-            self.model,
-            VerdictPhases {
-                explore: &self.explore,
-                guard: &guard,
-            },
-        );
-        let (race, race_schedule) = match model_race {
-            Some(w) => (Some(w.witness), Some(w.schedule)),
-            None => (None, None),
-        };
-        let completeness = completeness_of(&guard);
+        let report = self.governed(program, cancel, VerdictPhases(&self.explore));
+        let (behaviours, witness) = report.output;
+        let (race, race_schedule) = witness.map(|w| (w.witness, w.schedule)).unzip();
         let verdict = if race.is_some() {
             // A witness in hand is conclusive no matter what was cut
             // short afterwards.
             Verdict::Racy
-        } else if completeness.is_complete() {
+        } else if report.completeness.is_complete() {
             Verdict::DrfProven
         } else {
             Verdict::Unknown
@@ -290,14 +278,53 @@ impl Analysis {
             behaviours,
             race,
             race_schedule,
-            model: self.model,
-            jobs: self.jobs,
-            completeness,
+            model: report.model,
+            jobs: report.jobs,
+            completeness: report.completeness,
             verdict,
-            states_explored: guard.states(),
-            elapsed: guard.elapsed(),
-            stats: self.stamped(&collector),
+            states_explored: report.states_explored,
+            elapsed: report.elapsed,
+            stats: report.stats,
         }
+    }
+
+    /// The behaviour phase of [`run`](Analysis::run) on its own: every
+    /// output sequence of the program's executions under the configured
+    /// model, with the completeness flag of the bounded exploration.
+    #[must_use]
+    pub fn behaviours(&self, program: &Program) -> PhaseReport<Bounded<Behaviours>> {
+        self.behaviours_with_cancel(program, CancelToken::new())
+    }
+
+    /// [`behaviours`](Analysis::behaviours) with an externally held
+    /// [`CancelToken`], as in [`run_with_cancel`](Analysis::run_with_cancel).
+    #[must_use]
+    pub fn behaviours_with_cancel(
+        &self,
+        program: &Program,
+        cancel: CancelToken,
+    ) -> PhaseReport<Bounded<Behaviours>> {
+        self.governed(program, cancel, BehaviourPhase(&self.explore))
+    }
+
+    /// The race phase of [`run`](Analysis::run) on its own: a race
+    /// witness with its per-model schedule, or `None`. A `None` proves
+    /// freedom only when the report is
+    /// [`Complete`](Completeness::Complete).
+    #[must_use]
+    pub fn races(&self, program: &Program) -> PhaseReport<Option<ModelRaceWitness>> {
+        self.races_with_cancel(program, CancelToken::new())
+    }
+
+    /// [`races`](Analysis::races) with an externally held
+    /// [`CancelToken`], as in [`run_with_cancel`](Analysis::run_with_cancel).
+    #[must_use]
+    pub fn races_with_cancel(
+        &self,
+        program: &Program,
+        cancel: CancelToken,
+    ) -> PhaseReport<Option<ModelRaceWitness>> {
+        self.governed(program, cancel, RacePhase(&self.explore))
     }
 
     /// Counts the distinct reachable model states (under TSO/PSO buffer
@@ -317,40 +344,47 @@ impl Analysis {
     /// count is a lower bound and says which bound stopped it.
     #[must_use]
     pub fn census_with_cancel(&self, program: &Program, cancel: CancelToken) -> CensusReport {
-        let (guard, collector) = self.governor(cancel);
-        let reachable_states = with_model(
-            program,
-            self.model,
-            Census {
-                explore: &self.explore,
-                guard: &guard,
-            },
-        );
-        CensusReport {
-            reachable_states,
-            model: self.model,
-            jobs: self.jobs,
-            completeness: completeness_of(&guard),
-            states_explored: guard.states(),
-            elapsed: guard.elapsed(),
-            stats: self.stamped(&collector),
-        }
+        self.governed(program, cancel, Census(&self.explore))
     }
 
-    /// The budget governor for one operation, with a live collector
-    /// exactly when [`metrics`](Analysis::metrics) is on.
-    fn governor(&self, cancel: CancelToken) -> (BudgetGuard, Arc<ExploreMetrics>) {
+    /// The §8 check under the configured model: is every behaviour of
+    /// the program an SC behaviour of some program in the closure (up
+    /// to `depth` rewrite steps) of the rules the model subsumes? See
+    /// [`transafety_tso::explain`]. Under SC the fragment holds only
+    /// the trace-preserving commutations and nothing is relaxed.
+    #[must_use]
+    pub fn explain(&self, program: &Program, depth: usize) -> PhaseReport<Explanation> {
+        self.explain_with_cancel(program, depth, CancelToken::new())
+    }
+
+    /// [`explain`](Analysis::explain) with an externally held
+    /// [`CancelToken`], as in [`run_with_cancel`](Analysis::run_with_cancel).
+    #[must_use]
+    pub fn explain_with_cancel(
+        &self,
+        program: &Program,
+        depth: usize,
+        cancel: CancelToken,
+    ) -> PhaseReport<Explanation> {
+        self.governed(program, cancel, Explain(&self.explore, program, depth))
+    }
+
+    /// Runs one task on the configured model's backend under a fresh
+    /// budget governor (with a live metrics collector exactly when
+    /// [`metrics`](Analysis::metrics) is on) and reports how far it got.
+    fn governed<T: ModelTask>(
+        &self,
+        program: &Program,
+        cancel: CancelToken,
+        task: T,
+    ) -> PhaseReport<T::Output> {
         let collector = if self.metrics {
             ExploreMetrics::collector()
         } else {
             ExploreMetrics::disabled()
         };
         let guard = BudgetGuard::with_metrics(&self.budget, cancel, collector.clone());
-        (guard, collector)
-    }
-
-    /// The collector's snapshot, stamped with the backend.
-    fn stamped(&self, collector: &ExploreMetrics) -> ExploreStats {
+        let output = with_model(program, self.model, task, &guard);
         let mut stats = collector.snapshot();
         if stats.enabled {
             // Stamp the backend onto a *live* collector only: a
@@ -358,72 +392,109 @@ impl Analysis {
             // stats (the observer invariant).
             stats.model = self.model.as_str().to_string();
         }
-        stats
-    }
-}
-
-/// How far an operation got: complete unless the guard tripped.
-fn completeness_of(guard: &BudgetGuard) -> Completeness {
-    match guard.trip_reason() {
-        None => Completeness::Complete,
-        Some(reason) => Completeness::Truncated { reason },
+        PhaseReport {
+            output,
+            model: self.model,
+            jobs: self.jobs,
+            completeness: match guard.trip_reason() {
+                None => Completeness::Complete,
+                Some(reason) => Completeness::Truncated { reason },
+            },
+            states_explored: guard.states(),
+            elapsed: guard.elapsed(),
+            stats,
+        }
     }
 }
 
 /// One operation over whichever [`ModelExplorer`] the configured
-/// [`MemoryModelKind`] selects (see [`with_model`]).
+/// [`MemoryModelKind`] selects (see [`with_model`]), run under `guard`.
 trait ModelTask {
     type Output;
-    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>) -> Self::Output;
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output;
 }
 
 /// The single dispatch from [`MemoryModelKind`] to a backend.
-fn with_model<T: ModelTask>(program: &Program, model: MemoryModelKind, task: T) -> T::Output {
+fn with_model<T: ModelTask>(
+    program: &Program,
+    model: MemoryModelKind,
+    task: T,
+    guard: &BudgetGuard,
+) -> T::Output {
     match model {
         MemoryModelKind::Sc => {
             let ex = ProgramExplorer::new(program);
             let sc = ScModel::new(&ex);
-            task.run(&ModelExplorer::new(&sc))
+            task.run(&ModelExplorer::new(&sc), guard)
         }
         MemoryModelKind::Tso => {
             let tso = TsoModel::new(program);
-            task.run(&ModelExplorer::new(&tso))
+            task.run(&ModelExplorer::new(&tso), guard)
         }
         MemoryModelKind::Pso => {
             let pso = PsoModel::new(program);
-            task.run(&ModelExplorer::new(&pso))
+            task.run(&ModelExplorer::new(&pso), guard)
         }
     }
 }
 
 /// The verdict path: behaviour evaluation, then the race search, on one
 /// shared budget governor.
-struct VerdictPhases<'a> {
-    explore: &'a ExploreOptions,
-    guard: &'a BudgetGuard,
-}
+struct VerdictPhases<'a>(&'a ExploreOptions);
 
 impl ModelTask for VerdictPhases<'_> {
     type Output = (Bounded<Behaviours>, Option<ModelRaceWitness>);
 
-    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>) -> Self::Output {
-        let behaviours = mx.behaviours_governed(self.explore, self.guard);
-        let race = mx.race_witness_governed(self.explore, self.guard);
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
+        let behaviours = mx.behaviours_governed(self.0, guard);
+        let race = mx.race_witness_governed(self.0, guard);
         (behaviours, race)
     }
 }
 
-/// The unreduced reachable-state census.
-struct Census<'a> {
-    explore: &'a ExploreOptions,
-    guard: &'a BudgetGuard,
+/// The behaviour evaluation alone.
+struct BehaviourPhase<'a>(&'a ExploreOptions);
+
+impl ModelTask for BehaviourPhase<'_> {
+    type Output = Bounded<Behaviours>;
+
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
+        mx.behaviours_governed(self.0, guard)
+    }
 }
+
+/// The race search alone.
+struct RacePhase<'a>(&'a ExploreOptions);
+
+impl ModelTask for RacePhase<'_> {
+    type Output = Option<ModelRaceWitness>;
+
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
+        mx.race_witness_governed(self.0, guard)
+    }
+}
+
+/// The unreduced reachable-state census.
+struct Census<'a>(&'a ExploreOptions);
 
 impl ModelTask for Census<'_> {
     type Output = usize;
 
-    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>) -> usize {
-        mx.count_reachable_states_governed(self.explore, self.guard)
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> usize {
+        mx.count_reachable_states_governed(self.0, guard)
+    }
+}
+
+/// The §8 explanation of the program over the model's rule fragment,
+/// with closures up to the given depth.
+struct Explain<'a>(&'a ExploreOptions, &'a Program, usize);
+
+impl ModelTask for Explain<'_> {
+    type Output = Explanation;
+
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Explanation {
+        let Explain(explore, program, depth) = self;
+        explain(mx, program, depth, explore, guard)
     }
 }
 
@@ -503,31 +574,38 @@ impl AnalysisReport {
     }
 }
 
-/// The result of [`Analysis::census`]: the reachable-state count and
-/// how far the walk got.
+/// The result of one governed operation of [`Analysis`] —
+/// [`behaviours`](Analysis::behaviours), [`races`](Analysis::races),
+/// [`census`](Analysis::census) or [`explain`](Analysis::explain): the
+/// operation's output and how far it got.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CensusReport {
-    /// The number of distinct reachable program states (model states:
-    /// under TSO/PSO this counts buffer contents too). A lower bound
-    /// when [`completeness`](CensusReport::completeness) is truncated.
-    pub reachable_states: usize,
-    /// The memory model the census walked.
+pub struct PhaseReport<T> {
+    /// What the operation computed. Partial when
+    /// [`completeness`](PhaseReport::completeness) is truncated (a
+    /// census count is then a lower bound).
+    pub output: T,
+    /// The memory model the operation explored under.
     pub model: MemoryModelKind,
-    /// The configured worker count (the census runs sequentially at
+    /// The configured worker count (the phases run sequentially at
     /// every count).
     pub jobs: usize,
-    /// Did the walk run to completion, and if not, which bound stopped
-    /// it?
+    /// Did the operation run to completion, and if not, which bound
+    /// stopped it?
     pub completeness: Completeness,
     /// States counted by the budget governor (`0` when the budget is
     /// unlimited).
     pub states_explored: usize,
-    /// Wall-clock time the census took.
+    /// Wall-clock time the operation took.
     pub elapsed: Duration,
-    /// Exploration metrics, populated when the census ran with
+    /// Exploration metrics, populated when the operation ran with
     /// [`Analysis::metrics`]`(true)`.
     pub stats: ExploreStats,
 }
+
+/// The result of [`Analysis::census`]: the number of distinct reachable
+/// program states (model states: under TSO/PSO this counts buffer
+/// contents too).
+pub type CensusReport = PhaseReport<usize>;
 
 #[cfg(test)]
 mod tests {
@@ -583,8 +661,8 @@ mod tests {
             "witness is canonical, not schedule-dependent"
         );
         assert_eq!(
-            Analysis::new().census(&program).reachable_states,
-            Analysis::new().jobs(4).census(&program).reachable_states
+            Analysis::new().census(&program).output,
+            Analysis::new().jobs(4).census(&program).output
         );
         assert_eq!(seq.completeness, par.completeness);
         assert_eq!(seq.verdict, par.verdict);
@@ -640,7 +718,7 @@ mod tests {
         let sc_census = Analysis::new().census(&program);
         let tso_census = Analysis::new().model(MemoryModelKind::Tso).census(&program);
         assert_eq!(tso_census.model, MemoryModelKind::Tso);
-        assert!(tso_census.reachable_states > sc_census.reachable_states);
+        assert!(tso_census.output > sc_census.output);
     }
 
     #[test]
@@ -711,13 +789,13 @@ mod tests {
             .program;
         let census = Analysis::new().metrics(true).census(&program);
         assert!(census.completeness.is_complete());
-        assert!(census.reachable_states > 1);
+        assert!(census.output > 1);
         assert!(census.stats.census_nanos > 0);
         assert_eq!(census.stats.behaviour_eval_nanos, 0);
         assert_eq!(census.stats.race_search_nanos, 0);
         assert_eq!(census.stats.model, "sc");
         let capped = Analysis::new().max_states(1).census(&program);
         assert!(!capped.completeness.is_complete());
-        assert!(capped.reachable_states < census.reachable_states);
+        assert!(capped.output < census.output);
     }
 }

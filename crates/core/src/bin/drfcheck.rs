@@ -24,15 +24,15 @@
 //! and `guarantee` run the sequential engine at every `N`.
 //!
 //! `--model sc|tso|pso` selects the memory model the analysis commands
-//! (`check`, `states`, `races`, `behaviours`) explore under: the
+//! (`check`, `states`, `races`, `behaviours`, `dot`) explore under: the
 //! sequentially consistent baseline (default) or the store-buffering
-//! machines of §8.
+//! machines of §8. `tso` and `pso` always run under their own model.
 //!
 //! The analysis commands (`check`, `states`, `races`, `behaviours`,
-//! `executions`) run under a resource budget: `--timeout SECS` bounds
-//! wall-clock time, `--max-states N` caps explored states,
-//! `--max-interleavings N` caps execution enumeration, and `Ctrl-C`
-//! cancels cooperatively. Exceeding any bound never loses the work done
+//! `dot`, `tso`, `pso`, `executions`) run under a resource budget:
+//! `--timeout SECS` bounds wall-clock time, `--max-states N` caps
+//! explored states, `--max-interleavings N` caps execution enumeration,
+//! and `Ctrl-C` cancels cooperatively. Exceeding any bound never loses the work done
 //! so far — the partial result is flushed, the truncation reason (which
 //! bound tripped, how many states were explored, elapsed time) goes to
 //! stderr, and the exit code says what happened: `3` for a cap, `4` for
@@ -48,20 +48,14 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use transafety::checker::{
-    classify_transformation, drf_guarantee, no_thin_air, race_witness, Analysis, OotaVerdict,
-    TransformationClass,
+    classify_transformation, drf_guarantee, no_thin_air, Analysis, OotaVerdict, TransformationClass,
 };
-use transafety::interleaving::Behaviours;
 use transafety::interleaving::{BudgetGuard, ExploreMetrics, ExploreStats};
-use transafety::lang::{
-    parse_program_with_symbols, Bounded, ModelExplorer, ModelRaceWitness, Program, ProgramExplorer,
-    ScModel, ScheduleStep, SourceProgram,
-};
+use transafety::lang::{parse_program_with_symbols, ScheduleStep, SourceProgram};
 use transafety::litmus::by_name;
 use transafety::serve;
 use transafety::traces::{Domain, MemoryModelKind, Value};
-use transafety::tso::{explain_tso, PsoModel, TsoModel};
-use transafety::{BudgetBound, CancelToken, Completeness, TruncationReason, Verdict};
+use transafety::{BudgetBound, CancelToken, Completeness, PhaseReport, TruncationReason, Verdict};
 
 fn load(arg: &str) -> Result<SourceProgram, String> {
     load_with(arg, transafety::lang::SymbolTable::default())
@@ -188,14 +182,15 @@ fn usage() -> ExitCode {
            oota <program> <value>               out-of-thin-air check\n  \
            tso <program>                        TSO behaviours + §8 explanation\n  \
            pso <program>                        PSO behaviours + explanation\n  \
-           dot <program>                        Graphviz happens-before graph\n  \
+           dot <program>                        Graphviz happens-before graph (race witness\n                                       \
+                                                under --model, else one SC execution)\n  \
            litmus                               list the built-in corpus\n  \
            serve [serve flags]                  long-running JSON-lines batch service\n                                       \
                                                 (stdin/stdout, or --socket PATH)\n  \
            fuzz [fuzz flags]                    differential refinement fuzzing: random\n                                       \
                                                 (program × pipeline) pairs, shrink on failure\n\
          flags:\n  \
-           --model sc|tso|pso     memory model for check/states/races/behaviours (default: sc;\n                         \
+           --model sc|tso|pso     memory model for check/states/races/behaviours/dot (default: sc;\n                         \
                                   tso/pso explore the §8 store-buffer machines; their\n                         \
                                   race search runs without POR)\n  \
            --jobs N               worker threads for fuzz, classify and oota (default: all\n                         \
@@ -335,52 +330,24 @@ fn truncation(completeness: Completeness) -> Option<TruncationReason> {
     }
 }
 
-/// [`degraded_exit`] reading its inputs off a [`BudgetGuard`].
-fn guard_exit(guard: &BudgetGuard) -> Option<ExitCode> {
-    degraded_exit(guard.trip_reason(), guard.states(), guard.elapsed())
+/// [`degraded_exit`] reading its inputs off a phase report.
+fn phase_exit<T>(report: &PhaseReport<T>) -> Option<ExitCode> {
+    degraded_exit(
+        truncation(report.completeness),
+        report.states_explored,
+        report.elapsed,
+    )
 }
 
-/// Runs the governed race search through the memory-model backend
-/// selected by `--model`.
-fn model_race(program: &Program, opts: &Analysis, guard: &BudgetGuard) -> Option<ModelRaceWitness> {
-    match opts.model {
-        MemoryModelKind::Sc => {
-            let ex = ProgramExplorer::new(program);
-            let m = ScModel::new(&ex);
-            ModelExplorer::new(&m).race_witness_governed(&opts.explore, guard)
-        }
-        MemoryModelKind::Tso => {
-            let m = TsoModel::new(program);
-            ModelExplorer::new(&m).race_witness_governed(&opts.explore, guard)
-        }
-        MemoryModelKind::Pso => {
-            let m = PsoModel::new(program);
-            ModelExplorer::new(&m).race_witness_governed(&opts.explore, guard)
-        }
-    }
-}
-
-/// Runs the governed behaviour evaluation through the memory-model
-/// backend selected by `--model`.
-fn model_behaviours(
-    program: &Program,
-    opts: &Analysis,
-    guard: &BudgetGuard,
-) -> Bounded<Behaviours> {
-    match opts.model {
-        MemoryModelKind::Sc => {
-            let ex = ProgramExplorer::new(program);
-            let m = ScModel::new(&ex);
-            ModelExplorer::new(&m).behaviours_governed(&opts.explore, guard)
-        }
-        MemoryModelKind::Tso => {
-            let m = TsoModel::new(program);
-            ModelExplorer::new(&m).behaviours_governed(&opts.explore, guard)
-        }
-        MemoryModelKind::Pso => {
-            let m = PsoModel::new(program);
-            ModelExplorer::new(&m).behaviours_governed(&opts.explore, guard)
-        }
+/// [`phase_exit`] letting the per-execution action bound pass: that
+/// bound is ordinary configuration (loops need one) and is reported
+/// inline, exit 0; only hard budget trips change the exit code.
+fn hard_phase_exit<T>(report: &PhaseReport<T>) -> Option<ExitCode> {
+    match report.completeness {
+        Completeness::Truncated {
+            reason: TruncationReason::BudgetExceeded(BudgetBound::Actions),
+        } => None,
+        _ => phase_exit(report),
     }
 }
 
@@ -813,70 +780,41 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
             let p = load(&args[1])?;
             let report = opts.census_with_cancel(&p.program, cancel_token().clone());
             println!("model: {}", report.model);
-            println!("reachable states: {}", report.reachable_states);
+            println!("reachable states: {}", report.output);
             println!("completeness: {}", report.completeness);
             stats.emit(&report.stats)?;
-            Ok(degraded_exit(
-                truncation(report.completeness),
-                report.states_explored,
-                report.elapsed,
-            )
-            .unwrap_or(ExitCode::SUCCESS))
+            Ok(phase_exit(&report).unwrap_or(ExitCode::SUCCESS))
         }
         Some("races") if args.len() == 2 => {
             let p = load(&args[1])?;
-            let collector = stats.collector();
-            let guard =
-                BudgetGuard::with_metrics(&opts.budget, cancel_token().clone(), collector.clone());
-            let witness = model_race(&p.program, opts, &guard);
-            let mut snapshot = collector.snapshot();
-            snapshot.model = opts.model.as_str().to_string();
-            stats.emit(&snapshot)?;
-            match witness {
-                Some(w) => {
-                    // A witness is conclusive however the search was
-                    // bounded.
-                    println!("{}", w.witness);
-                    print_schedule(&w.schedule);
-                    Ok(ExitCode::FAILURE)
-                }
-                None => {
-                    if let Some(reason) = guard.trip_reason() {
-                        println!("unknown: search truncated ({reason})");
-                        return Ok(
-                            guard_exit(&guard).expect("truncated runs always map to an exit code")
-                        );
-                    }
-                    println!("data race free");
-                    Ok(ExitCode::SUCCESS)
-                }
+            let report = opts.races_with_cancel(&p.program, cancel_token().clone());
+            stats.emit(&report.stats)?;
+            if let Some(w) = &report.output {
+                // A witness is conclusive however the search was
+                // bounded.
+                println!("{}", w.witness);
+                print_schedule(&w.schedule);
+                return Ok(ExitCode::FAILURE);
             }
+            if let Some(reason) = truncation(report.completeness) {
+                println!("unknown: search truncated ({reason})");
+                return Ok(phase_exit(&report).expect("truncated runs always map to an exit code"));
+            }
+            println!("data race free");
+            Ok(ExitCode::SUCCESS)
         }
         Some("behaviours") if args.len() == 2 => {
             let p = load(&args[1])?;
-            let collector = stats.collector();
-            let guard =
-                BudgetGuard::with_metrics(&opts.budget, cancel_token().clone(), collector.clone());
-            let b = model_behaviours(&p.program, opts, &guard);
-            let mut snapshot = collector.snapshot();
-            snapshot.model = opts.model.as_str().to_string();
-            stats.emit(&snapshot)?;
-            if !b.complete {
+            let report = opts.behaviours_with_cancel(&p.program, cancel_token().clone());
+            stats.emit(&report.stats)?;
+            if !report.output.complete {
                 println!("(bounded: exploration hit its limits)");
             }
-            for beh in &b.value {
+            for beh in &report.output.value {
                 let rendered: Vec<String> = beh.iter().map(ToString::to_string).collect();
                 println!("[{}]", rendered.join(", "));
             }
-            // The per-execution action bound is ordinary configuration
-            // (loops need one), reported inline above, exit 0 — only
-            // hard budget trips change the exit code.
-            match guard.trip_reason() {
-                Some(TruncationReason::BudgetExceeded(BudgetBound::Actions)) | None => {
-                    Ok(ExitCode::SUCCESS)
-                }
-                Some(_) => Ok(guard_exit(&guard).expect("tripped guard maps to an exit code")),
-            }
+            Ok(hard_phase_exit(&report).unwrap_or(ExitCode::SUCCESS))
         }
         Some("executions") if args.len() == 2 => {
             let p = load(&args[1])?;
@@ -898,7 +836,8 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                      with --max-interleavings, or the budget with --timeout/--max-states)"
                 );
             }
-            Ok(guard_exit(&guard).unwrap_or(ExitCode::SUCCESS))
+            let degraded = degraded_exit(guard.trip_reason(), guard.states(), guard.elapsed());
+            Ok(degraded.unwrap_or(ExitCode::SUCCESS))
         }
         Some("guarantee") if args.len() == 3 => {
             let original = load(&args[1])?;
@@ -956,42 +895,34 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                 _ => ExitCode::FAILURE,
             })
         }
-        Some("tso") if args.len() == 2 => {
+        Some(cmd @ ("tso" | "pso")) if args.len() == 2 => {
             let p = load(&args[1])?;
-            let e = explain_tso(&p.program, 3, &opts.explore);
+            let (model, fragment) = match cmd {
+                "tso" => (
+                    MemoryModelKind::Tso,
+                    "W→R reordering + forwarding elimination",
+                ),
+                _ => (MemoryModelKind::Pso, "the W→R + W→W reordering fragment"),
+            };
+            let analysis = opts.clone().model(model);
+            let report = analysis.explain_with_cancel(&p.program, 3, cancel_token().clone());
+            let e = &report.output;
             println!(
-                "SC behaviours: {} — TSO behaviours: {}{}",
+                "SC behaviours: {} — {} behaviours: {}{}",
                 e.sc.len(),
-                e.tso.len(),
+                cmd.to_uppercase(),
+                e.behaviours.len(),
                 if e.relaxed { " (relaxed)" } else { "" }
             );
             println!(
-                "explained by W→R reordering + forwarding elimination \
-                 (closure of {} programs): {}",
+                "explained by {fragment} (closure of {} programs): {}",
                 e.closure_size,
                 if e.explained { "yes" } else { "NO" }
             );
-            Ok(if e.explained {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            })
-        }
-        Some("pso") if args.len() == 2 => {
-            let p = load(&args[1])?;
-            let e = transafety::tso::explain_pso(&p.program, 3, &opts.explore);
-            println!(
-                "SC behaviours: {} — PSO behaviours: {}{}",
-                e.sc.len(),
-                e.pso.len(),
-                if e.relaxed { " (relaxed)" } else { "" }
-            );
-            println!(
-                "explained by the W→R + W→W reordering fragment \
-                 (closure of {} programs): {}",
-                e.closure_size,
-                if e.explained { "yes" } else { "NO" }
-            );
+            stats.emit(&report.stats)?;
+            if let Some(code) = hard_phase_exit(&report) {
+                return Ok(code);
+            }
             Ok(if e.explained {
                 ExitCode::SUCCESS
             } else {
@@ -1000,27 +931,34 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
         }
         Some("dot") if args.len() == 2 => {
             let p = load(&args[1])?;
-            // render the racy execution if there is one, otherwise any
-            // maximal execution of the (bounded) traceset
-            if let Some(w) = race_witness(&p.program, opts) {
-                print!("{}", transafety::interleaving::hb_dot(&w.execution));
-                return Ok(ExitCode::SUCCESS);
+            let report = opts.races_with_cancel(&p.program, cancel_token().clone());
+            // A witness is conclusive however the search was bounded.
+            // Without one, only a completed search proves the program
+            // race free: a truncated search draws nothing.
+            let degraded = match report.output {
+                Some(_) => None,
+                None => phase_exit(&report),
+            };
+            if let Some(w) = &report.output {
+                print!("{}", transafety::interleaving::hb_dot(&w.witness.execution));
+            } else if degraded.is_none() {
+                // any maximal execution of the (bounded) traceset
+                let e = transafety::lang::extract_traceset(
+                    &p.program,
+                    &opts.domain,
+                    &transafety::lang::ExtractOptions::default(),
+                );
+                let execs = transafety::interleaving::Explorer::new(&e.traceset)
+                    .maximal_executions(transafety::interleaving::ExploreLimits {
+                        max_interleavings: 1,
+                    });
+                match execs.first() {
+                    Some(i) => print!("{}", transafety::interleaving::hb_dot(i)),
+                    None => println!("// no executions"),
+                }
             }
-            let e = transafety::lang::extract_traceset(
-                &p.program,
-                &opts.domain,
-                &transafety::lang::ExtractOptions::default(),
-            );
-            let execs = transafety::interleaving::Explorer::new(&e.traceset).maximal_executions(
-                transafety::interleaving::ExploreLimits {
-                    max_interleavings: 1,
-                },
-            );
-            match execs.first() {
-                Some(i) => print!("{}", transafety::interleaving::hb_dot(i)),
-                None => println!("// no executions"),
-            }
-            Ok(ExitCode::SUCCESS)
+            stats.emit(&report.stats)?;
+            Ok(degraded.unwrap_or(ExitCode::SUCCESS))
         }
         Some("serve") => serve_cmd(&args[1..], opts, stats),
         Some("fuzz") => fuzz_cmd(&args[1..], opts, stats),

@@ -54,7 +54,7 @@
 pub use transafety_checker as checker;
 pub use transafety_interleaving as interleaving;
 
-pub use transafety_checker::{Analysis, AnalysisReport, CensusReport, Verdict};
+pub use transafety_checker::{Analysis, AnalysisReport, CensusReport, PhaseReport, Verdict};
 pub use transafety_fuzz as fuzz;
 pub use transafety_interleaving::available_jobs;
 pub use transafety_interleaving::{

@@ -84,6 +84,40 @@ fn oota_and_tso_and_dot() {
     assert!(out.starts_with("digraph"));
 }
 
+/// The single-phase commands honour the global flags: the state cap
+/// trips them into exit 3, `--stats=json` reports the model each ran
+/// under, and `dot` draws the witness of the selected model.
+#[test]
+fn phase_commands_honour_model_budget_and_stats_flags() {
+    for cmd in ["races", "behaviours", "dot", "tso", "pso"] {
+        let model = if cmd == "pso" { "pso" } else { "tso" };
+        let (out, err, code) = drfcheck_full(&["--max-states", "1", cmd, "sb"]);
+        assert_eq!(code, Some(3), "{cmd}: {out}{err}");
+        assert!(err.contains("analysis truncated"), "{cmd}: {err}");
+        let (out, err, _) = drfcheck_full(&["--model", "tso", "--stats=json", cmd, "sb"]);
+        let stamp = format!("\"model\":\"{model}\"");
+        assert!(
+            out.lines()
+                .any(|l| l.starts_with("{\"schema\"") && l.contains(&stamp)),
+            "{cmd}: {out}{err}"
+        );
+    }
+    let sb = transafety::litmus::by_name("sb").unwrap().parse().program;
+    let witness = transafety::Analysis::new()
+        .model(transafety::MemoryModelKind::Tso)
+        .races(&sb)
+        .output
+        .expect("sb races under TSO");
+    let (tso_dot, _, code) = drfcheck_full(&["--model", "tso", "dot", "sb"]);
+    assert_eq!(code, Some(0));
+    assert_eq!(
+        tso_dot,
+        transafety::interleaving::hb_dot(&witness.witness.execution)
+    );
+    let (sc_dot, _, _) = drfcheck_full(&["dot", "sb"]);
+    assert_ne!(tso_dot, sc_dot, "the TSO witness drains a store early");
+}
+
 #[test]
 fn usage_on_bad_arguments() {
     let out = Command::new(env!("CARGO_BIN_EXE_drfcheck"))
@@ -112,11 +146,8 @@ fn check_reports_three_valued_verdicts() {
 
 #[test]
 fn states_matches_the_census_engine_and_check_skips_it() {
-    use transafety::lang::{
-        parse_program, ExploreOptions, ModelExplorer, ProgramExplorer, ScModel,
-    };
-    use transafety::tso::{PsoModel, TsoModel};
-    use transafety::MemoryModelKind;
+    use transafety::lang::parse_program;
+    use transafety::{Analysis, MemoryModelKind};
 
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../programs");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
@@ -126,25 +157,12 @@ fn states_matches_the_census_engine_and_check_skips_it() {
         .collect();
     files.sort();
     assert!(!files.is_empty());
-    let opts = ExploreOptions::default();
     for path in &files {
         let file = path.to_str().expect("utf-8 path");
         let source = std::fs::read_to_string(path).expect("program readable");
         let program = parse_program(&source).expect("program parses").program;
         for model in MemoryModelKind::ALL {
-            let expected = match model {
-                MemoryModelKind::Sc => {
-                    let ex = ProgramExplorer::new(&program);
-                    let sc = ScModel::new(&ex);
-                    ModelExplorer::new(&sc).count_reachable_states(&opts)
-                }
-                MemoryModelKind::Tso => {
-                    ModelExplorer::new(&TsoModel::new(&program)).count_reachable_states(&opts)
-                }
-                MemoryModelKind::Pso => {
-                    ModelExplorer::new(&PsoModel::new(&program)).count_reachable_states(&opts)
-                }
-            };
+            let expected = Analysis::new().model(model).census(&program).output;
             let (out, err, code) = drfcheck_full(&["--model", model.as_str(), "states", file]);
             assert_eq!(code, Some(0), "{file} {model}: {out}{err}");
             assert!(

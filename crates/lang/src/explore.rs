@@ -968,45 +968,6 @@ impl<'p> ProgramExplorer<'p> {
         false
     }
 
-    /// Collects **all** racing location/thread combinations reachable in
-    /// any execution — a census for diagnostics, where
-    /// [`race_witness`](ProgramExplorer::race_witness) stops at the
-    /// first.
-    #[must_use]
-    pub fn racy_locations(&self, opts: &ExploreOptions) -> std::collections::BTreeSet<Loc> {
-        let mut races: std::collections::BTreeSet<Loc> = Default::default();
-        let mut interner: StateInterner<CState> = StateInterner::new();
-        let mut visited: FxHashSet<(u32, Prev)> = FxHashSet::default();
-        let mut buf = Vec::new();
-        let mut truncated = false;
-        let mut stack: Vec<(CState, Prev)> = vec![(self.initial_compact(), None)];
-        while let Some((state, prev)) = stack.pop() {
-            let (id, _) = interner.intern_ref(&state);
-            if !visited.insert((id, prev)) {
-                continue;
-            }
-            self.moves_into(&state, opts, &mut buf, &mut truncated);
-            for &mv in buf.iter() {
-                if let Some((pk, pl, pw)) = prev {
-                    if pk != mv.thread
-                        && mv.action.is_access_to(pl)
-                        && !pl.is_volatile()
-                        && (pw || mv.action.is_write())
-                    {
-                        races.insert(pl);
-                    }
-                }
-                let next_prev = match mv.action {
-                    Action::Read { loc, .. } if !loc.is_volatile() => Some((mv.thread, loc, false)),
-                    Action::Write { loc, .. } if !loc.is_volatile() => Some((mv.thread, loc, true)),
-                    _ => None,
-                };
-                stack.push((self.apply(&state, &mv), next_prev));
-            }
-        }
-        races
-    }
-
     /// The number of distinct program states reachable under the bounds
     /// (a size measure for the scaling experiments).
     #[must_use]
@@ -2016,31 +1977,5 @@ mod witness_tests {
         assert!(ex
             .execution_with_behaviour(&[Value::new(2)], &opts)
             .is_none());
-    }
-
-    #[test]
-    fn racy_location_census() {
-        let p = parse_program("x := 1; y := 1; || r1 := x; r2 := z;")
-            .unwrap()
-            .program;
-        let ex = ProgramExplorer::new(&p);
-        let races = ex.racy_locations(&ExploreOptions::default());
-        // x is written by t0 and read by t1: racy. y and z are private
-        // to one thread each: not racy.
-        assert_eq!(races.len(), 1);
-        let sym = parse_program("x := 1; y := 1; || r1 := x; r2 := z;")
-            .unwrap()
-            .symbols;
-        assert!(races.contains(&sym.loc("x").unwrap()));
-    }
-
-    #[test]
-    fn racy_census_empty_for_drf() {
-        let p = parse_program("lock m; x := 1; unlock m; || lock m; r1 := x; unlock m;")
-            .unwrap()
-            .program;
-        assert!(ProgramExplorer::new(&p)
-            .racy_locations(&ExploreOptions::default())
-            .is_empty());
     }
 }

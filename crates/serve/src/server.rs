@@ -15,8 +15,8 @@
 //!   serving recent requests over stale ones whose clients have
 //!   probably timed out already;
 //! * **fault isolation** — each request runs under `catch_unwind`; a
-//!   panicking request gets **one** sequential (`jobs = 1`) retry, and
-//!   if that panics too it degrades to an `error` response while every
+//!   panicking request gets **one** retry of the same analysis, and if
+//!   that panics too it degrades to an `error` response while every
 //!   sibling request proceeds untouched;
 //! * **bounded degradation** — per-request budgets trip into
 //!   `verdict:"unknown"` responses with the truncation reason; no
@@ -452,8 +452,8 @@ impl Server {
     }
 
     /// Processes one admitted request end to end: fault hooks, cache
-    /// probe, governed analysis with panic quarantine and one
-    /// sequential retry, cache publication, response.
+    /// probe, governed analysis with panic quarantine and one retry of
+    /// the same analysis, cache publication, response.
     fn process(&self, job: &Job) {
         let analysis = self.request_analysis(&job.req);
         if let Err(e) = analysis.budget.validate() {
@@ -493,13 +493,6 @@ impl Server {
         let mut retried = false;
         let report = loop {
             let attempt = u32::from(retried);
-            let run = if retried {
-                // Sequential fallback recompute: one worker, reference
-                // driver, same budget discipline.
-                analysis.clone().jobs(1)
-            } else {
-                analysis.clone()
-            };
             let inject_panic = self.config.faults.panic_on(job.seq, attempt);
             if inject_panic {
                 lock(&self.stats).faults_injected += 1;
@@ -507,7 +500,7 @@ impl Server {
             let drain = self.drain.clone();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 assert!(!inject_panic, "injected worker panic (fault plan)");
-                run.run_with_cancel(&program, drain)
+                analysis.run_with_cancel(&program, drain)
             }));
             match outcome {
                 Ok(report) => break Some(report),

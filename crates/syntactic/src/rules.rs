@@ -104,8 +104,8 @@ impl RuleName {
     /// store buffers perform write→read reordering and store-to-load
     /// forwarding (§8's fragment: R-WR, E-RAW, E-RAR); PSO's
     /// per-location buffers additionally reorder writes (R-WW). These
-    /// are exactly the fragments [`tso_fragment`](crate) callers filter
-    /// closures by.
+    /// are exactly the fragments the §8 explanation
+    /// (`transafety_tso::explain`) filters its closure by.
     #[must_use]
     pub fn subsumed_under(self, model: transafety_traces::MemoryModelKind) -> bool {
         use transafety_traces::MemoryModelKind as Mk;

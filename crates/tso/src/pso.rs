@@ -6,19 +6,17 @@
 //! additionally relaxes write→write order: store buffers are per
 //! location, so stores to different locations may drain out of order.
 //! The corresponding transformation fragment adds the W→W reordering
-//! rule (R-WW) to TSO's W→R + forwarding fragment; [`explain_pso`]
-//! checks that this fragment explains every PSO behaviour, supporting
-//! the paper's conjecture on the corpus.
+//! rule (R-WW) to TSO's W→R + forwarding fragment;
+//! [`explain`](crate::explain) over a [`PsoModel`](crate::PsoModel) checks that this
+//! fragment explains every PSO behaviour, supporting the paper's
+//! conjecture on the corpus.
 
 use std::collections::BTreeMap;
 
-use transafety_interleaving::Behaviours;
-use transafety_lang::{ExploreOptions, ModelExplorer, MoveLabel, Program, ProgramExplorer};
-use transafety_syntactic::{transform_closure_filtered, RuleName};
+use transafety_lang::{ExploreOptions, MoveLabel};
 use transafety_traces::{Action, Loc, Monitor, Value};
 
 use crate::configs::{apply_act, BufferedMove, CfgId, ConfigTable, Machine, NOT_STARTED};
-use crate::model::PsoModel;
 
 /// A PSO machine state: per-thread configuration ids (interned by the
 /// [`PsoModel`](crate::PsoModel)), per-thread **per-location** FIFO
@@ -165,66 +163,12 @@ impl Machine for PsoState {
     }
 }
 
-/// The PSO rule fragment: TSO's fragment plus write→write reordering.
-#[must_use]
-pub fn pso_fragment(rule: RuleName) -> bool {
-    rule.subsumed_under(transafety_traces::MemoryModelKind::Pso)
-}
-
-/// The result of [`explain_pso`] (mirrors
-/// [`TsoExplanation`](crate::TsoExplanation)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PsoExplanation {
-    /// The PSO behaviours of the program.
-    pub pso: Behaviours,
-    /// The SC behaviours of the untransformed program.
-    pub sc: Behaviours,
-    /// The union of SC behaviours over the PSO-fragment closure.
-    pub closure_union: Behaviours,
-    /// Closure size.
-    pub closure_size: usize,
-    /// Did PSO add non-SC behaviour?
-    pub relaxed: bool,
-    /// `pso ⊆ closure_union`.
-    pub explained: bool,
-    /// No exploration bound was hit.
-    pub complete: bool,
-}
-
-/// Checks the §8 conjecture for PSO on one program: every PSO behaviour
-/// is an SC behaviour of some member of the `{R-WR, R-WW, E-RAW, E-RAR,
-/// T-MOV}` closure (up to `depth` steps).
-#[must_use]
-pub fn explain_pso(program: &Program, depth: usize, opts: &ExploreOptions) -> PsoExplanation {
-    let pso_b = ModelExplorer::new(&PsoModel::new(program)).behaviours(opts);
-    let sc_b = ProgramExplorer::new(program).behaviours(opts);
-    let closure = transform_closure_filtered(program, depth, pso_fragment);
-    let closure_size = closure.len();
-    let mut union: Behaviours = Behaviours::new();
-    let mut complete = pso_b.complete && sc_b.complete;
-    for q in closure {
-        let b = ProgramExplorer::new(&q).behaviours(opts);
-        complete &= b.complete;
-        union.extend(b.value);
-    }
-    let relaxed = !pso_b.value.is_subset(&sc_b.value);
-    let explained = pso_b.value.is_subset(&union);
-    PsoExplanation {
-        pso: pso_b.value,
-        sc: sc_b.value,
-        closure_union: union,
-        closure_size,
-        relaxed,
-        explained,
-        complete,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TsoModel;
-    use transafety_lang::parse_program;
+    use crate::{explain, Explanation, PsoModel, TsoModel};
+    use transafety_interleaving::{Behaviours, BudgetGuard};
+    use transafety_lang::{parse_program, ModelExplorer, Program};
 
     fn v(n: u32) -> Value {
         Value::new(n)
@@ -238,6 +182,17 @@ mod tests {
     fn pso_behaviours(p: &Program, opts: &ExploreOptions) -> Behaviours {
         let model = PsoModel::new(p);
         ModelExplorer::new(&model).behaviours(opts).value
+    }
+
+    fn pso_explanation(p: &Program, depth: usize, opts: &ExploreOptions) -> Explanation {
+        let pso = PsoModel::new(p);
+        explain(
+            &ModelExplorer::new(&pso),
+            p,
+            depth,
+            opts,
+            &BudgetGuard::unlimited(),
+        )
     }
 
     #[test]
@@ -260,10 +215,10 @@ mod tests {
         let opts = ExploreOptions::default();
         let stale = vec![v(1), v(0)];
         assert!(!tso_behaviours(&p, &opts).contains(&stale));
-        let e = explain_pso(&p, 3, &opts);
+        let e = pso_explanation(&p, 3, &opts);
         assert!(e.complete);
         assert!(e.relaxed, "PSO reorders the two stores");
-        assert!(e.pso.contains(&stale));
+        assert!(e.behaviours.contains(&stale));
         assert!(e.explained, "R-WW explains the stale read");
     }
 
@@ -291,11 +246,11 @@ mod tests {
             "x := 1; y := 1; || r1 := y; r2 := x; print r1; print r2;",
         ] {
             let p = parse_program(src).unwrap().program;
-            let e = explain_pso(&p, 3, &ExploreOptions::default());
+            let e = pso_explanation(&p, 3, &ExploreOptions::default());
             assert!(
                 e.explained,
                 "{src}: pso={:?} union={:?}",
-                e.pso, e.closure_union
+                e.behaviours, e.closure_union
             );
         }
     }

@@ -12,6 +12,7 @@ use transafety::lang::{
 use transafety::litmus::{by_name, corpus};
 use transafety::syntactic::{transform_closure, RuleSet};
 use transafety::traces::Domain;
+use transafety::{Analysis, MemoryModelKind};
 
 fn main() {
     let opts = ExploreOptions::default();
@@ -75,9 +76,8 @@ fn main() {
     println!("{:<12} {:>9} {:>9} {:>9}", "litmus", "SC", "TSO", "PSO?");
     for name in ["sb", "mp", "lb", "corr"] {
         let p = by_name(name).unwrap().parse().program;
-        let sc = ProgramExplorer::new(&p).count_reachable_states(&opts);
-        let tso_model = transafety::tso::TsoModel::new(&p);
-        let tso = transafety::lang::ModelExplorer::new(&tso_model).count_reachable_states(&opts);
+        let [sc, tso] = [MemoryModelKind::Sc, MemoryModelKind::Tso]
+            .map(|m| Analysis::new().model(m).census(&p).output);
         println!("{:<12} {:>9} {:>9} {:>9}", name, sc, tso, "-");
     }
 }

@@ -9,9 +9,8 @@
 //!
 //! Run with `cargo run --example litmus_runner`.
 
-use transafety::lang::{ExploreOptions, ModelExplorer, ProgramExplorer};
 use transafety::litmus::corpus;
-use transafety::tso::{PsoModel, TsoModel};
+use transafety::{Analysis, MemoryModelKind};
 
 fn render(b: &[transafety::traces::Value]) -> String {
     let inner: Vec<String> = b.iter().map(ToString::to_string).collect();
@@ -19,7 +18,6 @@ fn render(b: &[transafety::traces::Value]) -> String {
 }
 
 fn main() {
-    let opts = ExploreOptions::default();
     println!(
         "{:<24} {:>5} {:>5} {:>5}  model-specific outcomes",
         "litmus", "#SC", "#TSO", "#PSO"
@@ -29,11 +27,8 @@ fn main() {
         if p.threads().iter().flatten().count() > 14 {
             continue;
         }
-        let sc = ProgramExplorer::new(&p).behaviours(&opts);
-        let tso_model = TsoModel::new(&p);
-        let tso = ModelExplorer::new(&tso_model).behaviours(&opts);
-        let pso_model = PsoModel::new(&p);
-        let pso = ModelExplorer::new(&pso_model).behaviours(&opts);
+        let [sc, tso, pso] =
+            MemoryModelKind::ALL.map(|m| Analysis::new().model(m).behaviours(&p).output);
         if !(sc.complete && tso.complete && pso.complete) {
             println!("{:<24} (bounds hit — skipped)", l.name);
             continue;

@@ -17,7 +17,7 @@ fn main() {
     println!("program:\n{program}");
 
     let opts = Analysis::with_domain(Domain::from_values([Value::new(1), Value::new(42)]));
-    let racy = !transafety::checker::is_data_race_free(&program, &opts);
+    let racy = opts.races(&program).output.is_some();
     println!("racy: {racy} (the DRF guarantee is vacuous here)");
 
     let verdict = no_thin_air(&program, Value::new(42), 4, &opts);

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     assert!(
-        transafety::checker::is_data_race_free(&original, &opts),
+        opts.races(&original).output.is_none(),
         "the pipeline input is DRF, so every step is covered by the theorems"
     );
 
@@ -106,8 +106,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The observable behaviours are identical (not merely refined) here:
-    let b0 = transafety::checker::behaviours(&original, &opts);
-    let b1 = transafety::checker::behaviours(&current, &opts);
+    let b0 = opts.behaviours(&original).output;
+    let b1 = opts.behaviours(&current).output;
     assert_eq!(b0.value, b1.value);
     println!("behaviours unchanged across {step} verified steps. ✔");
     Ok(())

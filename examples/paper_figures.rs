@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example paper_figures`.
 
-use transafety::checker::{behaviours, Analysis};
+use transafety::checker::Analysis;
 use transafety::interleaving::{Event, Interleaving};
 use transafety::lang::{extract_traceset, ExtractOptions};
 use transafety::litmus::{by_name, parse_pair};
@@ -24,7 +24,7 @@ fn check(name: &str, claim: &str, holds: bool) {
 
 fn behaviours_of(name: &str, opts: &Analysis) -> transafety::interleaving::Behaviours {
     let p = by_name(name).unwrap().parse().program;
-    let b = behaviours(&p, opts);
+    let b = opts.behaviours(&p).output;
     assert!(b.complete, "{name} exploration truncated");
     b.value
 }
@@ -45,19 +45,19 @@ fn main() {
         "the constant-propagated program can print 1",
         bt.contains(&vec![v(1)]),
     );
-    let racy = !transafety::checker::is_data_race_free(
-        &by_name("intro-original").unwrap().parse().program,
-        &opts,
-    );
+    let racy = opts
+        .races(&by_name("intro-original").unwrap().parse().program)
+        .output
+        .is_some();
     check(
         "E1",
         "the original has data races (guarantee vacuous)",
         racy,
     );
-    let drf = transafety::checker::is_data_race_free(
-        &by_name("intro-volatile").unwrap().parse().program,
-        &opts,
-    );
+    let drf = opts
+        .races(&by_name("intro-volatile").unwrap().parse().program)
+        .output
+        .is_none();
     check("E1", "volatile flags make it data race free", drf);
 
     println!("E2 — Fig. 1 elimination example");
@@ -142,7 +142,9 @@ fn main() {
     check(
         "E4",
         "(a) is data race free",
-        transafety::checker::is_data_race_free(&by_name("fig3-a").unwrap().parse().program, &opts),
+        opts.races(&by_name("fig3-a").unwrap().parse().program)
+            .output
+            .is_none(),
     );
     // (b) → (c) is a *valid* elimination; the culprit is (a) → (b).
     let d = Domain::zero_to(1);

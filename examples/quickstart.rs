@@ -25,9 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("original program:\n{original}");
 
     // 1. Data race freedom (§3).
-    match transafety::checker::race_witness(&original, &opts) {
+    match opts.races(&original).output {
         None => println!("the program is DATA RACE FREE\n"),
-        Some(w) => println!("data race: {w}\n"),
+        Some(w) => println!("data race: {}\n", w.witness),
     }
 
     // 2. Every applicable optimisation of Fig. 10/11, verified.

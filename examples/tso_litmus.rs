@@ -5,12 +5,12 @@
 //!
 //! Run with `cargo run --example tso_litmus`.
 
-use transafety::lang::ExploreOptions;
 use transafety::litmus::corpus;
-use transafety::tso::{explain_pso, explain_tso};
+use transafety::{Analysis, MemoryModelKind};
 
 fn main() {
-    let opts = ExploreOptions::default();
+    let tso = Analysis::new().model(MemoryModelKind::Tso);
+    let pso = Analysis::new().model(MemoryModelKind::Pso);
     println!(
         "{:<24} {:>4} {:>4} {:>8} {:>8} {:>10}",
         "litmus", "#SC", "#TSO", "relaxed", "closure", "explained"
@@ -23,7 +23,7 @@ fn main() {
         if p.threads().iter().flatten().count() > 14 {
             continue;
         }
-        let e = explain_tso(&p, 3, &opts);
+        let e = tso.explain(&p, 3).output;
         if !e.complete {
             println!("{:<24} (bounds hit — skipped)", l.name);
             continue;
@@ -36,7 +36,7 @@ fn main() {
             "{:<24} {:>4} {:>4} {:>8} {:>8} {:>10}",
             l.name,
             e.sc.len(),
-            e.tso.len(),
+            e.behaviours.len(),
             if e.relaxed { "yes" } else { "-" },
             e.closure_size,
             if e.explained { "yes" } else { "NO" }
@@ -67,11 +67,11 @@ fn main() {
             .unwrap()
             .parse()
             .program;
-        let e = explain_pso(&p, 3, &opts);
+        let e = pso.explain(&p, 3).output;
         println!(
             "{:<24} {:>4} {:>8} {:>10}",
             name,
-            e.pso.len(),
+            e.behaviours.len(),
             if e.relaxed { "yes" } else { "-" },
             if e.explained { "yes" } else { "NO" }
         );

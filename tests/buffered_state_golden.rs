@@ -58,7 +58,7 @@ fn cases() -> Vec<(String, Program)> {
 /// One golden line: the case key, the census count and the counters.
 fn line(model: MemoryModelKind, por: bool, name: &str, program: &Program) -> String {
     let analysis = Analysis::new().model(model).jobs(1).por(por).metrics(true);
-    let states = analysis.census(program).reachable_states;
+    let states = analysis.census(program).output;
     let s = analysis.run(program).stats;
     let mut out = format!(
         "{model} {por} {name} states={states} states_visited={} states_interned={} \

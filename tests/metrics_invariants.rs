@@ -120,10 +120,7 @@ fn metrics_are_inert_observers_on_the_corpus() {
             assert_observer(&with, &without, &what);
             let census = |metrics| Analysis::new().jobs(jobs).metrics(metrics).census(&program);
             let (with, without) = (census(true), census(false));
-            assert_eq!(
-                with.reachable_states, without.reachable_states,
-                "{what}: reachable states"
-            );
+            assert_eq!(with.output, without.output, "{what}: reachable states");
             assert_eq!(
                 with.completeness, without.completeness,
                 "{what}: census completeness"

@@ -1,7 +1,7 @@
 //! Integration tests: the figure-level claims of the paper (experiments
 //! E1–E7 of `DESIGN.md`), asserted end-to-end across the crates.
 
-use transafety::checker::{behaviours, is_data_race_free, Analysis};
+use transafety::checker::Analysis;
 use transafety::interleaving::Behaviours;
 use transafety::lang::{extract_traceset, ExtractOptions};
 use transafety::litmus::{by_name, parse_pair};
@@ -16,7 +16,7 @@ fn v(n: u32) -> Value {
 
 fn behaviours_of(name: &str) -> Behaviours {
     let p = by_name(name).unwrap().parse().program;
-    let b = behaviours(&p, &Analysis::new());
+    let b = Analysis::new().behaviours(&p).output;
     assert!(b.complete, "{name} truncated");
     b.value
 }
@@ -26,14 +26,14 @@ fn e1_intro_example() {
     assert!(!behaviours_of("intro-original").contains(&vec![v(1)]));
     assert!(behaviours_of("intro-constant-propagated").contains(&vec![v(1)]));
     let opts = Analysis::new();
-    assert!(!is_data_race_free(
-        &by_name("intro-original").unwrap().parse().program,
-        &opts
-    ));
-    assert!(is_data_race_free(
-        &by_name("intro-volatile").unwrap().parse().program,
-        &opts
-    ));
+    assert!(opts
+        .races(&by_name("intro-original").unwrap().parse().program)
+        .output
+        .is_some());
+    assert!(opts
+        .races(&by_name("intro-volatile").unwrap().parse().program)
+        .output
+        .is_none());
 }
 
 #[test]
@@ -87,10 +87,10 @@ fn e4_fig3_read_introduction_breaks_drf_guarantee() {
     let two_zeros = vec![v(0), v(0)];
     let opts = Analysis::new();
     // (a): DRF, cannot print two zeros.
-    assert!(is_data_race_free(
-        &by_name("fig3-a").unwrap().parse().program,
-        &opts
-    ));
+    assert!(opts
+        .races(&by_name("fig3-a").unwrap().parse().program)
+        .output
+        .is_none());
     assert!(!behaviours_of("fig3-a").contains(&two_zeros));
     // (c): prints two zeros even on SC hardware.
     assert!(behaviours_of("fig3-c").contains(&two_zeros));
@@ -122,12 +122,12 @@ fn e4_fig3_behaviour_comparison_via_introduced_read() {
     let b = introduce_irrelevant_read(&with_read_t0, 1, 0, x, Reg::new(502)).unwrap();
     // (b) has the same behaviours as (a) on SC…
     let opts = Analysis::new();
-    let ba = behaviours(&a.program, &opts).value;
-    let bb = behaviours(&b, &opts).value;
+    let ba = opts.behaviours(&a.program).output.value;
+    let bb = opts.behaviours(&b).output.value;
     assert_eq!(ba, bb, "introduced irrelevant reads are SC-invisible");
     // …but (b) is racy where (a) was DRF: the introduction broke DRF.
-    assert!(is_data_race_free(&a.program, &opts));
-    assert!(!is_data_race_free(&b, &opts));
+    assert!(opts.races(&a.program).output.is_none());
+    assert!(opts.races(&b).output.is_some());
 }
 
 #[test]

@@ -84,8 +84,8 @@ fn analysis_reports_agree_across_worker_counts() {
         );
         assert_eq!(reference.race, parallel.race, "{name}: race witness");
         assert_eq!(
-            Analysis::new().census(&program).reachable_states,
-            Analysis::new().jobs(4).census(&program).reachable_states,
+            Analysis::new().census(&program).output,
+            Analysis::new().jobs(4).census(&program).output,
             "{name}: state census"
         );
         assert_eq!(

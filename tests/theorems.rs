@@ -18,7 +18,6 @@ fn small_enough(p: &Program) -> bool {
 /// behaviours are computed once per program, not once per rewrite.)
 #[test]
 fn corpus_rewrites_satisfy_drf_guarantee() {
-    use transafety::checker::{behaviours, race_witness};
     let opts = Analysis::new();
     let mut checked = 0;
     for l in corpus() {
@@ -26,14 +25,14 @@ fn corpus_rewrites_satisfy_drf_guarantee() {
         if !small_enough(&p) {
             continue;
         }
-        let original_racy = race_witness(&p, &opts).is_some();
-        let original_behaviours = behaviours(&p, &opts);
+        let original_racy = opts.races(&p).output.is_some();
+        let original_behaviours = opts.behaviours(&p).output;
         for rw in all_rewrites(&p) {
             checked += 1;
             if original_racy {
                 continue; // the guarantee is vacuous (Fig. 1/2 cases)
             }
-            let transformed = behaviours(&rw.result, &opts);
+            let transformed = opts.behaviours(&rw.result).output;
             if !(original_behaviours.complete && transformed.complete) {
                 continue; // loop-program fuel bound (mp-spin): no verdict
             }
@@ -43,7 +42,7 @@ fn corpus_rewrites_satisfy_drf_guarantee() {
                 l.name
             );
             assert!(
-                race_witness(&rw.result, &opts).is_none(),
+                opts.races(&rw.result).output.is_none(),
                 "{}: {rw} introduced a race",
                 l.name
             );

@@ -1,35 +1,35 @@
 //! Integration tests for the §8 TSO experiment (E11 of `DESIGN.md`).
 
 use transafety::interleaving::Behaviours;
-use transafety::lang::{Bounded, ExploreOptions, ModelExplorer, Program, ProgramExplorer};
+use transafety::lang::{Bounded, Program};
 use transafety::litmus::{by_name, corpus, random_program, GeneratorConfig};
+use transafety::traces::MemoryModelKind::{self, Pso, Sc, Tso};
 use transafety::traces::Value;
-use transafety::tso::{explain_tso, PsoModel, TsoModel};
+use transafety::tso::Explanation;
+use transafety::Analysis;
 
 fn v(n: u32) -> Value {
     Value::new(n)
 }
 
-fn tso_behaviours(p: &Program, opts: &ExploreOptions) -> Bounded<Behaviours> {
-    let model = TsoModel::new(p);
-    ModelExplorer::new(&model).behaviours(opts)
+fn behaviours(model: MemoryModelKind, p: &Program) -> Bounded<Behaviours> {
+    Analysis::new().model(model).behaviours(p).output
 }
 
-fn pso_behaviours(p: &Program, opts: &ExploreOptions) -> Bounded<Behaviours> {
-    let model = PsoModel::new(p);
-    ModelExplorer::new(&model).behaviours(opts)
+/// The §8 check at depth 3 under `model`, with default bounds.
+fn explain(model: MemoryModelKind, p: &Program) -> Explanation {
+    Analysis::new().model(model).explain(p, 3).output
 }
 
 #[test]
 fn tso_behaviours_include_sc_behaviours_on_corpus() {
-    let opts = ExploreOptions::default();
     for l in corpus() {
         let p = l.parse().program;
         if p.threads().iter().flatten().count() > 14 {
             continue;
         }
-        let sc = ProgramExplorer::new(&p).behaviours(&opts);
-        let tso = tso_behaviours(&p, &opts);
+        let sc = behaviours(Sc, &p);
+        let tso = behaviours(Tso, &p);
         if !(sc.complete && tso.complete) {
             continue;
         }
@@ -43,12 +43,11 @@ fn tso_behaviours_include_sc_behaviours_on_corpus() {
 
 #[test]
 fn tso_behaviours_include_sc_behaviours_on_random_programs() {
-    let opts = ExploreOptions::default();
     let config = GeneratorConfig::default();
     for seed in 0..15 {
         let p = random_program(seed, &config);
-        let sc = ProgramExplorer::new(&p).behaviours(&opts);
-        let tso = tso_behaviours(&p, &opts);
+        let sc = behaviours(Sc, &p);
+        let tso = behaviours(Tso, &p);
         if !(sc.complete && tso.complete) {
             continue;
         }
@@ -59,25 +58,20 @@ fn tso_behaviours_include_sc_behaviours_on_random_programs() {
 #[test]
 fn sb_relaxed_outcome_appears_only_under_tso() {
     let p = by_name("sb").unwrap().parse().program;
-    let opts = ExploreOptions::default();
     let zz = vec![v(0), v(0)];
-    assert!(!ProgramExplorer::new(&p)
-        .behaviours(&opts)
-        .value
-        .contains(&zz));
-    assert!(tso_behaviours(&p, &opts).value.contains(&zz));
+    assert!(!behaviours(Sc, &p).value.contains(&zz));
+    assert!(behaviours(Tso, &p).value.contains(&zz));
 }
 
 #[test]
 fn every_corpus_tso_behaviour_is_explained() {
-    let opts = ExploreOptions::default();
     let mut relaxed = 0;
     for l in corpus() {
         let p = l.parse().program;
         if p.threads().iter().flatten().count() > 14 {
             continue;
         }
-        let e = explain_tso(&p, 3, &opts);
+        let e = explain(Tso, &p);
         if !e.complete {
             continue;
         }
@@ -94,18 +88,17 @@ fn drf_programs_are_sc_on_tso() {
     // The DRF guarantee carried to hardware: for the corpus programs that
     // are data race free, TSO behaviours coincide with SC behaviours
     // (fences via volatiles/locks cover every communication).
-    let opts = ExploreOptions::default();
     let mut checked = 0;
     for l in corpus() {
         let p = l.parse().program;
         if p.threads().iter().flatten().count() > 14 {
             continue;
         }
-        if !ProgramExplorer::new(&p).is_data_race_free(&opts) {
+        if Analysis::new().races(&p).output.is_some() {
             continue;
         }
-        let sc = ProgramExplorer::new(&p).behaviours(&opts);
-        let tso = tso_behaviours(&p, &opts);
+        let sc = behaviours(Sc, &p);
+        let tso = behaviours(Tso, &p);
         if !(sc.complete && tso.complete) {
             continue;
         }
@@ -121,12 +114,11 @@ fn drf_programs_are_sc_on_tso() {
 
 #[test]
 fn random_drf_programs_are_sc_on_tso() {
-    let opts = ExploreOptions::default();
     let config = GeneratorConfig::drf();
     for seed in 0..10 {
         let p = random_program(seed, &config);
-        let sc = ProgramExplorer::new(&p).behaviours(&opts);
-        let tso = tso_behaviours(&p, &opts);
+        let sc = behaviours(Sc, &p);
+        let tso = behaviours(Tso, &p);
         assert!(sc.complete && tso.complete);
         assert_eq!(sc.value, tso.value, "seed {seed}:\n{p}");
     }
@@ -137,7 +129,6 @@ fn random_programs_tso_explained_by_fragment() {
     // §8 differential check beyond the corpus: for random loop-free
     // programs, every TSO behaviour is explained by the W→R-reordering +
     // forwarding fragment.
-    let opts = ExploreOptions::default();
     let config = GeneratorConfig {
         stmts_per_thread: 3,
         if_prob: 0.0, // keep the closure small and exact
@@ -146,7 +137,7 @@ fn random_programs_tso_explained_by_fragment() {
     let mut relaxed = 0;
     for seed in 0..12 {
         let p = random_program(seed, &config);
-        let e = transafety::tso::explain_tso(&p, 3, &opts);
+        let e = explain(Tso, &p);
         if !e.complete {
             continue;
         }
@@ -161,14 +152,13 @@ fn random_programs_tso_explained_by_fragment() {
 
 #[test]
 fn pso_includes_tso_on_corpus() {
-    let opts = ExploreOptions::default();
     for l in corpus() {
         let p = l.parse().program;
         if p.threads().iter().flatten().count() > 10 {
             continue;
         }
-        let tso = tso_behaviours(&p, &opts);
-        let pso = pso_behaviours(&p, &opts);
+        let tso = behaviours(Tso, &p);
+        let pso = behaviours(Pso, &p);
         if !(tso.complete && pso.complete) {
             continue;
         }
@@ -182,8 +172,6 @@ fn pso_includes_tso_on_corpus() {
 
 #[test]
 fn random_programs_pso_explained_by_extended_fragment() {
-    use transafety::tso::explain_pso;
-    let opts = ExploreOptions::default();
     let config = GeneratorConfig {
         stmts_per_thread: 3,
         if_prob: 0.0,
@@ -192,7 +180,7 @@ fn random_programs_pso_explained_by_extended_fragment() {
     };
     for seed in 0..10 {
         let p = random_program(seed, &config);
-        let e = explain_pso(&p, 3, &opts);
+        let e = explain(Pso, &p);
         if !e.complete {
             continue;
         }
