@@ -60,8 +60,14 @@ pub struct Analysis {
     /// The memory model the exploration engines run under. The default
     /// [`MemoryModelKind::Sc`] is the paper's baseline semantics;
     /// [`Tso`](MemoryModelKind::Tso) and [`Pso`](MemoryModelKind::Pso)
-    /// route every phase through the buffered operational machines of
-    /// §8. All budgets and metrics apply uniformly; each backend
+    /// run the behaviour phase, the census and the §8 explanation on
+    /// the buffered operational machines of §8. Their race phase is the
+    /// SC race search: a program races on those machines iff it races
+    /// under SC (§5, §8), and the SC search is reduced and exact on
+    /// loops. Its witness is lifted to the machine, every store flushed
+    /// right after it is buffered (see
+    /// [`MemoryModel::lift_sc_witness`](transafety_lang::MemoryModel::lift_sc_witness)).
+    /// All budgets and metrics apply uniformly; each backend
     /// negotiates its own partial-order reduction (see
     /// [`MemoryModel::reduced_moves`](transafety_lang::MemoryModel::reduced_moves)).
     pub model: MemoryModelKind,
@@ -262,7 +268,7 @@ impl Analysis {
     /// batch service, the fuzz driver) wrap the call in `catch_unwind`.
     #[must_use]
     pub fn run_with_cancel(&self, program: &Program, cancel: CancelToken) -> AnalysisReport {
-        let report = self.governed(program, cancel, VerdictPhases(&self.explore));
+        let report = self.governed(program, cancel, VerdictPhases(&self.explore, program));
         let (behaviours, witness) = report.output;
         let (race, race_schedule) = witness.map(|w| (w.witness, w.schedule)).unzip();
         let verdict = if race.is_some() {
@@ -310,7 +316,8 @@ impl Analysis {
     /// The race phase of [`run`](Analysis::run) on its own: a race
     /// witness with its per-model schedule, or `None`. A `None` proves
     /// freedom only when the report is
-    /// [`Complete`](Completeness::Complete).
+    /// [`Complete`](Completeness::Complete). Under every model the
+    /// search is the SC one (see [`Analysis::model`](Analysis#structfield.model)).
     #[must_use]
     pub fn races(&self, program: &Program) -> PhaseReport<Option<ModelRaceWitness>> {
         self.races_with_cancel(program, CancelToken::new())
@@ -324,7 +331,7 @@ impl Analysis {
         program: &Program,
         cancel: CancelToken,
     ) -> PhaseReport<Option<ModelRaceWitness>> {
-        self.governed(program, cancel, RacePhase(&self.explore))
+        self.governed(program, cancel, RacePhase(&self.explore, program))
     }
 
     /// Counts the distinct reachable model states (under TSO/PSO buffer
@@ -438,16 +445,16 @@ fn with_model<T: ModelTask>(
     }
 }
 
-/// The verdict path: behaviour evaluation, then the race search, on one
-/// shared budget governor.
-struct VerdictPhases<'a>(&'a ExploreOptions);
+/// The verdict path: behaviour evaluation under the model, then the
+/// race search, on one shared budget governor.
+struct VerdictPhases<'a>(&'a ExploreOptions, &'a Program);
 
 impl ModelTask for VerdictPhases<'_> {
     type Output = (Bounded<Behaviours>, Option<ModelRaceWitness>);
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
         let behaviours = mx.behaviours_governed(self.0, guard);
-        let race = mx.race_witness_governed(self.0, guard);
+        let race = race_phase(mx, self.1, self.0, guard);
         (behaviours, race)
     }
 }
@@ -464,14 +471,35 @@ impl ModelTask for BehaviourPhase<'_> {
 }
 
 /// The race search alone.
-struct RacePhase<'a>(&'a ExploreOptions);
+struct RacePhase<'a>(&'a ExploreOptions, &'a Program);
 
 impl ModelTask for RacePhase<'_> {
     type Output = Option<ModelRaceWitness>;
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
-        mx.race_witness_governed(self.0, guard)
+        race_phase(mx, self.1, self.0, guard)
     }
+}
+
+/// The race phase under every model: the SC race search, whose witness
+/// the model lifts to its own machine
+/// ([`MemoryModel::lift_sc_witness`]). A program races on the TSO/PSO
+/// machines iff it races under SC (§5, §8), and the SC search is
+/// reduced and exact on loops where the buffered one is neither. Under
+/// SC this is the search on `mx` itself.
+fn race_phase<M: MemoryModel>(
+    mx: &ModelExplorer<'_, M>,
+    program: &Program,
+    opts: &ExploreOptions,
+    guard: &BudgetGuard,
+) -> Option<ModelRaceWitness> {
+    if mx.model().kind() == MemoryModelKind::Sc {
+        return mx.race_witness_governed(opts, guard);
+    }
+    let ex = ProgramExplorer::new(program);
+    let sc = ScModel::new(&ex);
+    let witness = ModelExplorer::new(&sc).race_witness_governed(opts, guard)?;
+    Some(mx.model().lift_sc_witness(witness))
 }
 
 /// The unreduced reachable-state census.

@@ -191,8 +191,9 @@ fn usage() -> ExitCode {
                                                 (program × pipeline) pairs, shrink on failure\n\
          flags:\n  \
            --model sc|tso|pso     memory model for check/states/races/behaviours/dot (default: sc;\n                         \
-                                  tso/pso explore the §8 store-buffer machines; their\n                         \
-                                  race search runs without POR)\n  \
+                                  tso/pso explore the §8 store-buffer machines; a program\n                         \
+                                  races there iff it races under SC, so their race search\n                         \
+                                  is the SC one, its witness flushing each store at once)\n  \
            --jobs N               worker threads for fuzz, classify and oota (default: all\n                         \
                                   cores); check/states/races/behaviours/guarantee explore\n                         \
                                   sequentially at every N\n  \
@@ -788,25 +789,25 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
         Some("races") if args.len() == 2 => {
             let p = load(&args[1])?;
             let report = opts.races_with_cancel(&p.program, cancel_token().clone());
-            stats.emit(&report.stats)?;
-            if let Some(w) = &report.output {
+            let code = if let Some(w) = &report.output {
                 // A witness is conclusive however the search was
                 // bounded.
                 println!("{}", w.witness);
                 print_schedule(&w.schedule);
-                return Ok(ExitCode::FAILURE);
-            }
-            if let Some(reason) = truncation(report.completeness) {
+                ExitCode::FAILURE
+            } else if let Some(reason) = truncation(report.completeness) {
                 println!("unknown: search truncated ({reason})");
-                return Ok(phase_exit(&report).expect("truncated runs always map to an exit code"));
-            }
-            println!("data race free");
-            Ok(ExitCode::SUCCESS)
+                phase_exit(&report).expect("truncated runs always map to an exit code")
+            } else {
+                println!("data race free");
+                ExitCode::SUCCESS
+            };
+            stats.emit(&report.stats)?;
+            Ok(code)
         }
         Some("behaviours") if args.len() == 2 => {
             let p = load(&args[1])?;
             let report = opts.behaviours_with_cancel(&p.program, cancel_token().clone());
-            stats.emit(&report.stats)?;
             if !report.output.complete {
                 println!("(bounded: exploration hit its limits)");
             }
@@ -814,6 +815,7 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                 let rendered: Vec<String> = beh.iter().map(ToString::to_string).collect();
                 println!("[{}]", rendered.join(", "));
             }
+            stats.emit(&report.stats)?;
             Ok(hard_phase_exit(&report).unwrap_or(ExitCode::SUCCESS))
         }
         Some("executions") if args.len() == 2 => {
@@ -824,12 +826,12 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
             let e = transafety::lang::extract_traceset(&p.program, &opts.domain, &opts.extract);
             let (execs, capped) = transafety::interleaving::Explorer::new(&e.traceset)
                 .maximal_executions_governed(opts.limits(), &guard);
-            stats.emit(&collector.snapshot())?;
             let stdout = std::io::stdout();
             let mut out = stdout.lock();
             for i in &execs {
                 writeln!(out, "{i}").map_err(|e| format!("cannot write to stdout: {e}"))?;
             }
+            stats.emit(&collector.snapshot())?;
             if capped {
                 eprintln!(
                     "drfcheck: execution enumeration was cut short (raise the cap \

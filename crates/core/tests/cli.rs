@@ -86,21 +86,35 @@ fn oota_and_tso_and_dot() {
 
 /// The single-phase commands honour the global flags: the state cap
 /// trips them into exit 3, `--stats=json` reports the model each ran
-/// under, and `dot` draws the witness of the selected model.
+/// under on the last stdout line, and `dot` draws the witness of the
+/// selected model.
 #[test]
 fn phase_commands_honour_model_budget_and_stats_flags() {
     for cmd in ["races", "behaviours", "dot", "tso", "pso"] {
-        let model = if cmd == "pso" { "pso" } else { "tso" };
         let (out, err, code) = drfcheck_full(&["--max-states", "1", cmd, "sb"]);
         assert_eq!(code, Some(3), "{cmd}: {out}{err}");
         assert!(err.contains("analysis truncated"), "{cmd}: {err}");
+    }
+    for cmd in [
+        "check",
+        "states",
+        "races",
+        "behaviours",
+        "executions",
+        "dot",
+        "tso",
+        "pso",
+    ] {
         let (out, err, _) = drfcheck_full(&["--model", "tso", "--stats=json", cmd, "sb"]);
-        let stamp = format!("\"model\":\"{model}\"");
-        assert!(
-            out.lines()
-                .any(|l| l.starts_with("{\"schema\"") && l.contains(&stamp)),
-            "{cmd}: {out}{err}"
-        );
+        let last = out.lines().last().unwrap_or_default();
+        assert!(last.starts_with("{\"schema\""), "{cmd}: {out}{err}");
+        let model = match cmd {
+            "pso" => "\"model\":\"pso\"",
+            // `executions` enumerates SC executions of the §3 traceset.
+            "executions" => "\"model\":\"sc\"",
+            _ => "\"model\":\"tso\"",
+        };
+        assert!(last.contains(model), "{cmd}: {last}");
     }
     let sb = transafety::litmus::by_name("sb").unwrap().parse().program;
     let witness = transafety::Analysis::new()
@@ -114,8 +128,33 @@ fn phase_commands_honour_model_budget_and_stats_flags() {
         tso_dot,
         transafety::interleaving::hb_dot(&witness.witness.execution)
     );
-    let (sc_dot, _, _) = drfcheck_full(&["dot", "sb"]);
-    assert_ne!(tso_dot, sc_dot, "the TSO witness drains a store early");
+    // The TSO witness is the SC witness with every store flushed right
+    // after it is buffered, except the racing access that ends it.
+    let (races, _, code) = drfcheck_full(&["--model", "tso", "races", "sb"]);
+    assert_eq!(code, Some(1), "{races}");
+    let schedule: Vec<&str> = races
+        .lines()
+        .skip_while(|l| *l != "schedule (with store-buffer flushes):")
+        .skip(1)
+        .map(str::trim)
+        .collect();
+    let (last, steps) = schedule.split_last().expect("a schedule block");
+    assert!(!last.contains("flush"), "{races}");
+    let mut flushes = 0;
+    for (i, step) in steps.iter().enumerate() {
+        if let Some((thread, action)) = step.split_once(": ") {
+            if action.starts_with("W[") {
+                assert_eq!(schedule[i + 1], format!("{thread}: flush"), "{races}");
+                flushes += 1;
+            } else if action == "flush" {
+                assert!(
+                    schedule[i - 1].starts_with(&format!("{thread}: W[")),
+                    "{races}"
+                );
+            }
+        }
+    }
+    assert!(flushes > 0, "{races}");
 }
 
 #[test]

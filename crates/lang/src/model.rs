@@ -37,7 +37,10 @@
 //! and private-step ample sets) and return the full expansion for
 //! [`ReductionGoal::Races`] — the adjacent-conflict witness argument
 //! relies on flush-free interposition, which only full race expansions
-//! guarantee under a buffered machine. The census never reduces: it
+//! guarantee under a buffered machine. That unreduced, fuel-bounded
+//! buffered race search is the oracle; the checker answers the race
+//! question under every model with the SC search and lifts its witness
+//! ([`MemoryModel::lift_sc_witness`]). The census never reduces: it
 //! counts *all* reachable states by definition.
 
 use std::fmt;
@@ -222,9 +225,23 @@ pub trait MemoryModel {
     /// state space on loopy programs (buffers grow without bound), so
     /// those searches must be fuel-bounded to terminate. SC overrides
     /// this to `usize::MAX` — its program state space is finite even
-    /// with loops, and the searches are exact.
+    /// with loops, and the searches are exact. That exactness is why
+    /// the checker answers the race question under every model with
+    /// the SC search (see [`lift_sc_witness`](MemoryModel::lift_sc_witness)).
     fn search_fuel(&self, opts: &ExploreOptions) -> usize {
         self.fuel(opts)
+    }
+
+    /// Lifts a race witness of the SC engine, found on the same
+    /// program, to a witness of this machine. §5 proves that write→read
+    /// reordering and read-after-write elimination preserve data race
+    /// freedom, and §8 that they are all TSO adds to SC, so a program
+    /// races on the buffered machines iff it races under SC. The lift
+    /// keeps [`witness`](ModelRaceWitness::witness), the SC
+    /// interleaving, and rewrites the schedule into this machine's
+    /// moves. The default is the identity (SC).
+    fn lift_sc_witness(&self, witness: ModelRaceWitness) -> ModelRaceWitness {
+        witness
     }
 }
 
@@ -407,14 +424,15 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
         tally.add(Counter::AwaitWakeups, red.await_wakeups);
         let moves = red.moves;
         drop(state);
-        if fuel == 0 {
-            // Out of action fuel. Flush-only suffixes contribute no
-            // behaviour, so nothing below is followed; any pending
-            // action move means the set is under-approximated.
-            if moves.iter().any(|m| !m.label.is_flush()) {
-                *truncated = true;
-            }
+        if fuel == 0 && moves.iter().any(|m| !m.label.is_flush()) {
+            // Out of action fuel with an action pending: the set is
+            // under-approximated. Flush-only suffixes contribute no
+            // behaviour, so nothing below is followed.
+            *truncated = true;
         } else {
+            // At fuel 0 only flushes are left. They are free, and they
+            // are still followed: a commuting-flush singleton can hide
+            // the action moves waiting behind it.
             for mv in moves {
                 // Flushes are free: they consume no action fuel
                 // (otherwise long buffers would starve the bound), but
@@ -479,10 +497,15 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
     /// is not a proof of freedom (callers consult the trip reason).
     ///
     /// Incompleteness from the model's
-    /// [`search_fuel`](MemoryModel::search_fuel) bound is not recorded
-    /// here: the behaviour engine shares the same fuel and trips the
-    /// guard's action bound whenever the bound binds, which is what the
-    /// checker's completeness verdict consumes.
+    /// [`search_fuel`](MemoryModel::search_fuel) bound is **not**
+    /// recorded: a subtree pruned at fuel 0 leaves the guard untripped.
+    /// Under a fuel-bounded model (TSO/PSO on a loop-bearing program) a
+    /// `None` is therefore no proof of freedom, and a run of the
+    /// behaviour engine on the same guard need not trip the action
+    /// bound on the subtrees pruned here. The checker's
+    /// `Analysis` answers the race question with the exact SC search
+    /// instead (see [`MemoryModel::lift_sc_witness`]); this buffered
+    /// search stays public as the test oracle of that equivalence.
     #[must_use]
     pub fn race_witness_governed(
         &self,

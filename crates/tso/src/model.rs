@@ -48,6 +48,13 @@
 //! loops, store buffers grow without bound, so the race search and the
 //! census must be fuel-layered to terminate (SC overrides this; the
 //! buffered models must not).
+//!
+//! That buffered race search is the oracle, not the checker's race
+//! phase. A program races on these machines iff it races under SC
+//! (§5, §8), so the checker runs the SC search, which is reduced and
+//! exact on loops, and lifts its witness with
+//! [`MemoryModel::lift_sc_witness`]: the SC interleaving, with every
+//! non-volatile store flushed right after it is buffered.
 
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -55,7 +62,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use transafety_interleaving::metrics::ExpansionKind;
 use transafety_lang::{
     program_has_loops, program_loops_are_awaits, CfgMeta, ExploreOptions, MemoryModel, ModelMove,
-    MoveLabel, Program, Reduced, ReductionGoal,
+    ModelRaceWitness, MoveLabel, Program, Reduced, ReductionGoal, ScheduleStep,
 };
 use transafety_traces::{Action, MemoryModelKind, ThreadId};
 
@@ -187,6 +194,36 @@ fn collapse_awaits_buffered<S: Machine>(
         }
     });
     (collapsed, wakeups)
+}
+
+/// Lifts an SC race witness to the buffered machine `S`: the same
+/// actions in the same order, each non-volatile store flushed by its
+/// thread right after it is buffered, so memory always equals the SC
+/// memory and every read returns its SC value. The racing access that
+/// ends the witness stays buffered.
+fn lift_sc_witness<S: Machine>(sc: ModelRaceWitness) -> ModelRaceWitness {
+    let events = sc.witness.execution.events();
+    let mut schedule = Vec::with_capacity(2 * events.len());
+    for (i, event) in events.iter().enumerate() {
+        let thread = event.thread().index() as usize;
+        let action = event.action();
+        schedule.push(ScheduleStep {
+            thread,
+            label: MoveLabel::Action(action),
+        });
+        if let Action::Write { loc, .. } = action {
+            if !loc.is_volatile() && i + 1 < events.len() {
+                schedule.push(ScheduleStep {
+                    thread,
+                    label: S::flush_label(loc),
+                });
+            }
+        }
+    }
+    ModelRaceWitness {
+        witness: sc.witness,
+        schedule,
+    }
 }
 
 /// The backend both buffered models share: the configuration table of
@@ -377,6 +414,10 @@ impl MemoryModel for TsoModel<'_> {
     fn fuel(&self, opts: &ExploreOptions) -> usize {
         self.inner.fuel(opts)
     }
+
+    fn lift_sc_witness(&self, witness: ModelRaceWitness) -> ModelRaceWitness {
+        lift_sc_witness::<TsoState>(witness)
+    }
 }
 
 /// The PSO machine (per-thread **per-location** FIFO store buffers) as
@@ -433,6 +474,10 @@ impl MemoryModel for PsoModel<'_> {
 
     fn fuel(&self, opts: &ExploreOptions) -> usize {
         self.inner.fuel(opts)
+    }
+
+    fn lift_sc_witness(&self, witness: ModelRaceWitness) -> ModelRaceWitness {
+        lift_sc_witness::<PsoState>(witness)
     }
 }
 

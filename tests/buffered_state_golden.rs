@@ -6,6 +6,11 @@
 //! table in `tests/golden/buffered_state_spaces.txt` exactly. The sc
 //! lines also pin the interner's probe and collision counts.
 //!
+//! `Analysis::run` answers the race question with the SC search under
+//! every model, so the tso and pso lines drive the buffered machine's
+//! own two searches directly — the behaviour search, then the buffered
+//! race search, on one metrics guard — and keep pinning its state space.
+//!
 //! The counters are a pure function of the machine's state graph and
 //! the engine's visit order, so a change to how machine states are
 //! represented or interned must leave every line untouched. On a mismatch the
@@ -17,9 +22,12 @@
 use std::path::{Path, PathBuf};
 
 use transafety::checker::Analysis;
-use transafety::lang::{parse_program, Program};
+use transafety::interleaving::{BudgetGuard, ExploreMetrics, ExploreStats};
+use transafety::lang::{parse_program, MemoryModel, ModelExplorer, Program};
 use transafety::litmus::corpus;
 use transafety::traces::MemoryModelKind;
+use transafety::tso::{PsoModel, TsoModel};
+use transafety::CancelToken;
 
 const GOLDEN: &str = "tests/golden/buffered_state_spaces.txt";
 
@@ -55,11 +63,26 @@ fn cases() -> Vec<(String, Program)> {
     out
 }
 
+/// The counters of the buffered machine's behaviour search followed by
+/// its race search, on one metrics guard under `analysis`'s budget.
+fn buffered_stats<M: MemoryModel>(model: &M, analysis: &Analysis) -> ExploreStats {
+    let collector = ExploreMetrics::collector();
+    let guard = BudgetGuard::with_metrics(&analysis.budget, CancelToken::new(), collector.clone());
+    let mx = ModelExplorer::new(model);
+    let _ = mx.behaviours_governed(&analysis.explore, &guard);
+    let _ = mx.race_witness_governed(&analysis.explore, &guard);
+    collector.snapshot()
+}
+
 /// One golden line: the case key, the census count and the counters.
 fn line(model: MemoryModelKind, por: bool, name: &str, program: &Program) -> String {
     let analysis = Analysis::new().model(model).jobs(1).por(por).metrics(true);
     let states = analysis.census(program).output;
-    let s = analysis.run(program).stats;
+    let s = match model {
+        MemoryModelKind::Sc => analysis.run(program).stats,
+        MemoryModelKind::Tso => buffered_stats(&TsoModel::new(program), &analysis),
+        MemoryModelKind::Pso => buffered_stats(&PsoModel::new(program), &analysis),
+    };
     let mut out = format!(
         "{model} {por} {name} states={states} states_visited={} states_interned={} \
          moves_generated={} por_ample_hits={} por_full_expansions={} dpor_proviso_blocks={} \

@@ -6,17 +6,22 @@
 //! and in parallel. The `MemoryModel` redesign is an API seam, never a
 //! semantics change. Under every model, `Analysis`'s single-phase entry
 //! points must answer as `run` does, and `Analysis::explain` as the
-//! per-model §8 checks it replaced.
+//! per-model §8 checks it replaced. Under TSO and PSO the race phase is
+//! the SC search with a lifted witness, pinned here against the
+//! buffered race search it replaced.
 
 mod support;
 
 use support::{capped_budget, configs, seeds, JOBS};
 use transafety::checker::Analysis;
-use transafety::interleaving::Behaviours;
-use transafety::lang::{ExploreOptions, ModelExplorer, Program, ProgramExplorer, ScModel};
-use transafety::litmus::{corpus, random_program};
-use transafety::traces::MemoryModelKind;
-use transafety::{AnalysisReport, Budget, CensusReport};
+use transafety::interleaving::{Behaviours, BudgetGuard, Event, ExploreStats};
+use transafety::lang::{
+    ExploreOptions, MemoryModel, ModelExplorer, ModelRaceWitness, Program, ProgramExplorer, ScModel,
+};
+use transafety::litmus::{corpus, random_program, GeneratorConfig};
+use transafety::traces::{MemoryModelKind, ThreadId};
+use transafety::tso::{PsoModel, TsoModel};
+use transafety::{AnalysisReport, Budget, CancelToken, CensusReport};
 
 /// Everything in the report except the wall-clock time must coincide.
 /// The governor's raw state tally is only compared on the sequential
@@ -273,4 +278,136 @@ fn explain_matches_the_recorded_per_model_explanations() {
             assert_eq!(got, recorded, "{name} {model}: {e:?}");
         }
     }
+}
+
+/// Replays a lifted schedule move by move through the machine's own
+/// `moves` from `initial()`: every step must be an enabled move, and
+/// the schedule's actions must be the witness execution.
+fn assert_schedule_replays<M: MemoryModel>(machine: &M, witness: &ModelRaceWitness, what: &str) {
+    let opts = ExploreOptions::default();
+    let mut state = machine.initial();
+    for (i, step) in witness.schedule.iter().enumerate() {
+        let mut truncated = false;
+        let next = machine
+            .moves(&state, &opts, &mut truncated)
+            .into_iter()
+            .find(|mv| mv.thread == step.thread && mv.label == step.label);
+        state = next
+            .unwrap_or_else(|| panic!("{what}: step {i} ({step}) is not enabled"))
+            .next;
+    }
+    let actions: Vec<Event> = witness
+        .schedule
+        .iter()
+        .filter_map(|s| {
+            let action = s.label.action()?;
+            Some(Event::new(ThreadId::new(s.thread as u32), action))
+        })
+        .collect();
+    assert_eq!(
+        actions,
+        witness.witness.execution.events(),
+        "{what}: schedule actions"
+    );
+}
+
+/// The deterministic counters of a run, without the model stamp, the
+/// wall times and the timestamped event log.
+fn counters(stats: &ExploreStats) -> ExploreStats {
+    ExploreStats {
+        model: String::new(),
+        events: Vec::new(),
+        graph_build_nanos: 0,
+        behaviour_eval_nanos: 0,
+        race_search_nanos: 0,
+        census_nanos: 0,
+        pool_drain_nanos: 0,
+        ..stats.clone()
+    }
+}
+
+/// The buffered race search, the race phase's oracle, against
+/// `Analysis::races` on one buffered machine. Returns whether the
+/// verdicts were compared and whether the program races.
+fn assert_sc_first_race_phase<M: MemoryModel>(
+    machine: &M,
+    program: &Program,
+    sc: &ExploreStats,
+    what: &str,
+) -> (bool, bool) {
+    let model = machine.kind();
+    let budget = Budget::unlimited().max_states(200_000);
+    let analysis = Analysis::new().model(model).budget(budget).metrics(true);
+    let races = analysis.races(program);
+    let guard = BudgetGuard::new(&budget, CancelToken::new());
+    let opts = ExploreOptions::default();
+    let oracle = ModelExplorer::new(machine).race_witness_governed(&opts, &guard);
+    // A buffered witness is conclusive; a `None` proves freedom only
+    // when neither a bound nor the search fuel cut the search short.
+    let oracle_exact = guard.trip_reason().is_none() && machine.search_fuel(&opts) == usize::MAX;
+    let compared = races.completeness.is_complete() && (oracle.is_some() || oracle_exact);
+    if compared {
+        assert_eq!(
+            races.output.is_some(),
+            oracle.is_some(),
+            "{what}: race verdict differs from the buffered search"
+        );
+    }
+    if let Some(w) = &races.output {
+        assert_schedule_replays(machine, w, what);
+    }
+    if races.completeness.is_complete() {
+        assert_eq!(counters(&races.stats), *sc, "{what}: race-phase counters");
+    }
+    (compared, races.output.is_some())
+}
+
+#[test]
+fn sc_first_race_phase_matches_the_buffered_search() {
+    let shapes = [
+        GeneratorConfig::default(),
+        GeneratorConfig::drf(),
+        GeneratorConfig::with_volatiles(),
+        GeneratorConfig::with_loops(),
+        GeneratorConfig::with_awaits(),
+    ];
+    let generated = (0..seeds()).map(|seed| {
+        let shape = &shapes[usize::try_from(seed).unwrap() % shapes.len()];
+        (format!("seed {seed}"), random_program(seed, shape))
+    });
+    let litmus = corpus()
+        .into_iter()
+        .map(|l| (format!("litmus {}", l.name), l.parse().program));
+    let (mut cases, mut compared, mut racy) = (0, 0, 0);
+    for (name, program) in litmus.chain(generated) {
+        let sc = Analysis::new()
+            .budget(Budget::unlimited().max_states(200_000))
+            .metrics(true)
+            .races(&program);
+        let sc = counters(&sc.stats);
+        for outcome in [
+            assert_sc_first_race_phase(
+                &TsoModel::new(&program),
+                &program,
+                &sc,
+                &format!("{name} tso"),
+            ),
+            assert_sc_first_race_phase(
+                &PsoModel::new(&program),
+                &program,
+                &sc,
+                &format!("{name} pso"),
+            ),
+        ] {
+            cases += 1;
+            compared += usize::from(outcome.0);
+            racy += usize::from(outcome.1);
+        }
+    }
+    // Neither side of the comparison may be vacuous.
+    assert!(compared * 4 >= cases * 3, "{compared} of {cases} compared");
+    assert!(
+        racy * 4 >= cases && racy * 4 <= cases * 3,
+        "{racy} of {cases} racy"
+    );
 }

@@ -9,10 +9,14 @@ mod support;
 
 use support::{capped_budget, configs_full as configs, seeds, JOBS};
 use transafety::checker::Analysis;
-use transafety::lang::{parse_program, Program};
+use transafety::interleaving::BudgetGuard;
+use transafety::lang::{
+    parse_program, ExploreOptions, MemoryModel, ModelExplorer, ModelRaceWitness, Program,
+};
 use transafety::litmus::{corpus, random_program, GeneratorConfig};
 use transafety::traces::MemoryModelKind;
-use transafety::{AnalysisReport, Budget, Completeness, Verdict};
+use transafety::tso::{PsoModel, TsoModel};
+use transafety::{AnalysisReport, Budget, CancelToken, Completeness, Verdict};
 
 fn run(program: &Program, por: bool, jobs: usize, budget: &Budget) -> AnalysisReport {
     run_model(program, MemoryModelKind::Sc, por, jobs, budget)
@@ -42,6 +46,71 @@ fn assert_identical(reduced: &AnalysisReport, full: &AnalysisReport, what: &str)
         "{what}: race witness presence"
     );
     assert_eq!(reduced.behaviours, full.behaviours, "{what}: behaviours");
+}
+
+/// The buffered race search called directly, under the capped budget;
+/// `None` when a bound stopped it.
+fn oracle_witness<M: MemoryModel>(machine: &M, por: bool) -> Option<Option<ModelRaceWitness>> {
+    let guard = BudgetGuard::new(&capped_budget(), CancelToken::new());
+    let opts = ExploreOptions {
+        por,
+        ..ExploreOptions::default()
+    };
+    let witness = ModelExplorer::new(machine).race_witness_governed(&opts, &guard);
+    guard.trip_reason().is_none().then_some(witness)
+}
+
+/// The exact-witness contract under a buffered model, for two completed
+/// runs at one worker. `Analysis::run` answers the race question with
+/// the SC search, so each run's witness and schedule are the SC witness
+/// at the same POR flag, lifted to the machine. The buffered race
+/// search always runs on the full expansion, so called directly its
+/// witness must not depend on the POR flag at all.
+fn assert_exact_witnesses<M: MemoryModel>(
+    machine: &M,
+    program: &Program,
+    reduced: &AnalysisReport,
+    full: &AnalysisReport,
+    what: &str,
+) {
+    for (report, por) in [(reduced, true), (full, false)] {
+        let lifted = Analysis::new()
+            .por(por)
+            .races(program)
+            .output
+            .map(|w| machine.lift_sc_witness(w));
+        let (race, schedule) = lifted.map(|w| (w.witness, w.schedule)).unzip();
+        assert_eq!(report.race, race, "{what} por={por}: lifted SC witness");
+        assert_eq!(
+            report.race_schedule, schedule,
+            "{what} por={por}: lifted SC schedule"
+        );
+    }
+    if let (Some(on), Some(off)) = (
+        oracle_witness(machine, true),
+        oracle_witness(machine, false),
+    ) {
+        assert_eq!(on, off, "{what}: exact witness of the buffered race search");
+    }
+}
+
+/// [`assert_exact_witnesses`] on the machine of `model` (TSO or PSO).
+fn assert_exact_buffered_witnesses(
+    program: &Program,
+    model: MemoryModelKind,
+    reduced: &AnalysisReport,
+    full: &AnalysisReport,
+    what: &str,
+) {
+    match model {
+        MemoryModelKind::Tso => {
+            assert_exact_witnesses(&TsoModel::new(program), program, reduced, full, what);
+        }
+        MemoryModelKind::Pso => {
+            assert_exact_witnesses(&PsoModel::new(program), program, reduced, full, what);
+        }
+        MemoryModelKind::Sc => unreachable!("{what}: not a buffered model"),
+    }
 }
 
 /// The contract that must hold even when a budget truncates one side:
@@ -109,12 +178,8 @@ fn por_agrees_on_the_litmus_corpus_under_buffered_models() {
                     && !matches!(full.completeness, Completeness::Truncated { .. });
                 if both_complete {
                     assert_identical(&reduced, &full, &what);
-                    // The race phase of the buffered models always runs
-                    // on the full expansion, so with one worker the
-                    // search is deterministic and the POR flag must not
-                    // change the witness at all — not just its presence.
                     if jobs == 1 {
-                        assert_eq!(reduced.race, full.race, "{what}: exact witness");
+                        assert_exact_buffered_witnesses(&program, model, &reduced, &full, &what);
                     }
                 }
                 assert_sound(&reduced, &full, &what);
@@ -142,7 +207,7 @@ fn por_agrees_on_generated_programs_under_buffered_models() {
                 if both_complete {
                     assert_identical(&reduced, &full, &what);
                     if jobs == 1 {
-                        assert_eq!(reduced.race, full.race, "{what}: exact witness");
+                        assert_exact_buffered_witnesses(&program, model, &reduced, &full, &what);
                     }
                 }
                 assert_sound(&reduced, &full, &what);
@@ -206,7 +271,7 @@ fn por_keeps_forwarded_read_behaviours_under_buffered_models() {
                 "{what}: both behaviour phases must complete"
             );
             assert_identical(&reduced, &full, &what);
-            assert_eq!(reduced.race, full.race, "{what}: exact witness");
+            assert_exact_buffered_witnesses(program, model, &reduced, &full, &what);
         }
     }
 }
@@ -389,4 +454,35 @@ fn por_agrees_on_generated_programs() {
             assert_sound(&reduced, &full, &what);
         }
     }
+}
+
+/// A racy program whose writer runs out of action fuel behind stores
+/// only it ever touches: once the fuel is spent, the buffered behaviour
+/// engine's reduced expansion is a singleton commuting flush, which
+/// used to hide the pending action moves, so nothing marked the set
+/// truncated and `run` proved the program race free under TSO and PSO.
+#[test]
+fn fuel_exhausted_behind_a_commuting_flush_is_truncation() {
+    let src = format!(
+        "r0 := 0; while (r0 == 0) {{ r0 := 1; }} {}x := 1; || r2 := x; print r2;",
+        "s := 1; ".repeat(36)
+    );
+    let program = parse_program(&src).expect("valid program").program;
+    for model in MemoryModelKind::ALL {
+        for por in [true, false] {
+            let report = Analysis::new().model(model).por(por).run(&program);
+            let what = format!("model={model} por={por}");
+            // Never a proof; the exact SC race search finds the race.
+            assert_eq!(report.verdict, Verdict::Racy, "{what}");
+            if model != MemoryModelKind::Sc {
+                assert!(!report.behaviours.complete, "{what}: behaviours complete");
+                assert!(!report.completeness.is_complete(), "{what}: completeness");
+            }
+        }
+    }
+    let opts = ExploreOptions::default();
+    let tso = TsoModel::new(&program);
+    assert!(!ModelExplorer::new(&tso).behaviours(&opts).complete, "tso");
+    let pso = PsoModel::new(&program);
+    assert!(!ModelExplorer::new(&pso).behaviours(&opts).complete, "pso");
 }
