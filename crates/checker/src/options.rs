@@ -268,7 +268,7 @@ impl Analysis {
     /// batch service, the fuzz driver) wrap the call in `catch_unwind`.
     #[must_use]
     pub fn run_with_cancel(&self, program: &Program, cancel: CancelToken) -> AnalysisReport {
-        let report = self.governed(program, cancel, VerdictPhases(&self.explore, program));
+        let report = self.governed(program, cancel, VerdictPhases(&self.explore));
         let (behaviours, witness) = report.output;
         let (race, race_schedule) = witness.map(|w| (w.witness, w.schedule)).unzip();
         let verdict = if race.is_some() {
@@ -331,7 +331,7 @@ impl Analysis {
         program: &Program,
         cancel: CancelToken,
     ) -> PhaseReport<Option<ModelRaceWitness>> {
-        self.governed(program, cancel, RacePhase(&self.explore, program))
+        self.governed(program, cancel, RacePhase(&self.explore))
     }
 
     /// Counts the distinct reachable model states (under TSO/PSO buffer
@@ -373,7 +373,7 @@ impl Analysis {
         depth: usize,
         cancel: CancelToken,
     ) -> PhaseReport<Explanation> {
-        self.governed(program, cancel, Explain(&self.explore, program, depth))
+        self.governed(program, cancel, Explain(&self.explore, depth))
     }
 
     /// Runs one task on the configured model's backend under a fresh
@@ -447,14 +447,14 @@ fn with_model<T: ModelTask>(
 
 /// The verdict path: behaviour evaluation under the model, then the
 /// race search, on one shared budget governor.
-struct VerdictPhases<'a>(&'a ExploreOptions, &'a Program);
+struct VerdictPhases<'a>(&'a ExploreOptions);
 
 impl ModelTask for VerdictPhases<'_> {
     type Output = (Bounded<Behaviours>, Option<ModelRaceWitness>);
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
         let behaviours = mx.behaviours_governed(self.0, guard);
-        let race = race_phase(mx, self.1, self.0, guard);
+        let race = race_phase(mx, self.0, guard);
         (behaviours, race)
     }
 }
@@ -471,33 +471,29 @@ impl ModelTask for BehaviourPhase<'_> {
 }
 
 /// The race search alone.
-struct RacePhase<'a>(&'a ExploreOptions, &'a Program);
+struct RacePhase<'a>(&'a ExploreOptions);
 
 impl ModelTask for RacePhase<'_> {
     type Output = Option<ModelRaceWitness>;
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
-        race_phase(mx, self.1, self.0, guard)
+        race_phase(mx, self.0, guard)
     }
 }
 
-/// The race phase under every model: the SC race search, whose witness
-/// the model lifts to its own machine
-/// ([`MemoryModel::lift_sc_witness`]). A program races on the TSO/PSO
-/// machines iff it races under SC (§5, §8), and the SC search is
-/// reduced and exact on loops where the buffered one is neither. Under
-/// SC this is the search on `mx` itself.
+/// The race phase under every model: the SC race search on the model's
+/// own [`explorer`](MemoryModel::explorer), whose witness the model
+/// lifts to its own machine ([`MemoryModel::lift_sc_witness`]). A
+/// program races on the TSO/PSO machines iff it races under SC (§5,
+/// §8), and the SC search is reduced and exact on loops where the
+/// buffered one is neither. Under SC this is the search on `mx` itself,
+/// and the lift is the identity.
 fn race_phase<M: MemoryModel>(
     mx: &ModelExplorer<'_, M>,
-    program: &Program,
     opts: &ExploreOptions,
     guard: &BudgetGuard,
 ) -> Option<ModelRaceWitness> {
-    if mx.model().kind() == MemoryModelKind::Sc {
-        return mx.race_witness_governed(opts, guard);
-    }
-    let ex = ProgramExplorer::new(program);
-    let sc = ScModel::new(&ex);
+    let sc = ScModel::new(mx.model().explorer());
     let witness = ModelExplorer::new(&sc).race_witness_governed(opts, guard)?;
     Some(mx.model().lift_sc_witness(witness))
 }
@@ -515,14 +511,14 @@ impl ModelTask for Census<'_> {
 
 /// The §8 explanation of the program over the model's rule fragment,
 /// with closures up to the given depth.
-struct Explain<'a>(&'a ExploreOptions, &'a Program, usize);
+struct Explain<'a>(&'a ExploreOptions, usize);
 
 impl ModelTask for Explain<'_> {
     type Output = Explanation;
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Explanation {
-        let Explain(explore, program, depth) = self;
-        explain(mx, program, depth, explore, guard)
+        let Explain(explore, depth) = self;
+        explain(mx, depth, explore, guard)
     }
 }
 

@@ -27,6 +27,9 @@
 //! (`check`, `states`, `races`, `behaviours`, `dot`) explore under: the
 //! sequentially consistent baseline (default) or the store-buffering
 //! machines of §8. `tso` and `pso` always run under their own model.
+//! `executions`, `guarantee`, `classify`, `correspondence`, `rewrites`
+//! and `oota` answer under SC only and refuse `--model tso|pso` with a
+//! usage error (exit 2).
 //!
 //! The analysis commands (`check`, `states`, `races`, `behaviours`,
 //! `dot`, `tso`, `pso`, `executions`) run under a resource budget:
@@ -36,7 +39,9 @@
 //! so far — the partial result is flushed, the truncation reason (which
 //! bound tripped, how many states were explored, elapsed time) goes to
 //! stderr, and the exit code says what happened: `3` for a cap, `4` for
-//! timeout or interruption.
+//! timeout or interruption. `tso` and `pso` also exit `3` when only the
+//! per-execution action bound cut an exploration short, and say so on
+//! stdout: their verdict then compares bounded behaviour sets.
 //!
 //! Program files use the concrete syntax of the paper's §6 language (see
 //! `transafety::lang::parse_program`); a corpus name (e.g. `sb`) can be
@@ -193,7 +198,9 @@ fn usage() -> ExitCode {
            --model sc|tso|pso     memory model for check/states/races/behaviours/dot (default: sc;\n                         \
                                   tso/pso explore the §8 store-buffer machines; a program\n                         \
                                   races there iff it races under SC, so their race search\n                         \
-                                  is the SC one, its witness flushing each store at once)\n  \
+                                  is the SC one, its witness flushing each store at once);\n                         \
+                                  executions/guarantee/classify/correspondence/rewrites/oota\n                         \
+                                  run under SC only and refuse tso/pso\n  \
            --jobs N               worker threads for fuzz, classify and oota (default: all\n                         \
                                   cores); check/states/races/behaviours/guarantee explore\n                         \
                                   sequentially at every N\n  \
@@ -232,7 +239,8 @@ fn usage() -> ExitCode {
            1  data race or unsafe transformation found (for fuzz: a refinement\n     \
               violation, a missed seeded case, or a panicking case)\n  \
            2  usage or input error\n  \
-           3  a state/interleaving cap was exceeded (partial results flushed)\n  \
+           3  a state/interleaving cap was exceeded (partial results flushed), or\n     \
+              tso/pso explained bounded behaviour sets (the action bound tripped)\n  \
            4  deadline exceeded or interrupted by SIGINT/SIGTERM (partial results\n     \
               flushed; serve drains gracefully — a second signal hard-exits at once)\n\
          <program> is a file path or a corpus name (try `drfcheck litmus`)."
@@ -741,8 +749,29 @@ fn fuzz_cmd(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<Exit
     })
 }
 
+/// The commands that answer under SC only: they enumerate §3
+/// executions or compare SC behaviours, so a relaxed `--model` would be
+/// silently ignored.
+const SC_ONLY: [&str; 6] = [
+    "executions",
+    "guarantee",
+    "classify",
+    "correspondence",
+    "rewrites",
+    "oota",
+];
+
 fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode, String> {
-    match args.first().map(String::as_str) {
+    let command = args.first().map(String::as_str);
+    if let Some(cmd) = command.filter(|cmd| SC_ONLY.contains(cmd)) {
+        if opts.model != MemoryModelKind::Sc {
+            return Err(format!(
+                "{cmd} runs under SC only; --model {} is not supported",
+                opts.model
+            ));
+        }
+    }
+    match command {
         Some("check") if args.len() == 2 => {
             let p = load(&args[1])?;
             let report = opts.run_with_cancel(&p.program, cancel_token().clone());
@@ -909,6 +938,9 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
             let analysis = opts.clone().model(model);
             let report = analysis.explain_with_cancel(&p.program, 3, cancel_token().clone());
             let e = &report.output;
+            if !e.complete {
+                println!("(bounded: exploration hit its limits; the explanation is not exact)");
+            }
             println!(
                 "SC behaviours: {} — {} behaviours: {}{}",
                 e.sc.len(),
@@ -922,10 +954,12 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                 if e.explained { "yes" } else { "NO" }
             );
             stats.emit(&report.stats)?;
-            if let Some(code) = hard_phase_exit(&report) {
+            if let Some(code) = phase_exit(&report) {
                 return Ok(code);
             }
-            Ok(if e.explained {
+            Ok(if !e.complete {
+                ExitCode::from(EXIT_LIMIT_EXCEEDED)
+            } else if e.explained {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE

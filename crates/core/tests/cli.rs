@@ -100,7 +100,6 @@ fn phase_commands_honour_model_budget_and_stats_flags() {
         "states",
         "races",
         "behaviours",
-        "executions",
         "dot",
         "tso",
         "pso",
@@ -110,11 +109,33 @@ fn phase_commands_honour_model_budget_and_stats_flags() {
         assert!(last.starts_with("{\"schema\""), "{cmd}: {out}{err}");
         let model = match cmd {
             "pso" => "\"model\":\"pso\"",
-            // `executions` enumerates SC executions of the §3 traceset.
-            "executions" => "\"model\":\"sc\"",
             _ => "\"model\":\"tso\"",
         };
         assert!(last.contains(model), "{cmd}: {last}");
+    }
+    // The SC-only commands refuse a relaxed model instead of ignoring it,
+    // and still accept `--model sc`.
+    for args in [
+        &["executions", "sb"][..],
+        &["guarantee", "fig1-original", "fig1-transformed"],
+        &["classify", "fig1-original", "fig1-transformed"],
+        &["correspondence", "fig1-original", "fig1-transformed"],
+        &["rewrites", "sb"],
+        &["oota", "oota", "42"],
+    ] {
+        let cmd = args[0];
+        for model in ["tso", "pso"] {
+            let (out, err, code) = drfcheck_full(&[&["--model", model][..], args].concat());
+            assert_eq!(code, Some(2), "{cmd} --model {model}: {out}{err}");
+            assert!(out.is_empty(), "{cmd} --model {model}: {out}");
+            assert!(
+                err.contains(&format!("{cmd} runs under SC only")),
+                "{cmd} --model {model}: {err}"
+            );
+        }
+        let (out, err, code) = drfcheck_full(&[&["--model", "sc"][..], args].concat());
+        assert_eq!(code, drfcheck_full(args).2, "{cmd} --model sc: {out}{err}");
+        assert_ne!(code, Some(2), "{cmd} --model sc: {out}{err}");
     }
     let sb = transafety::litmus::by_name("sb").unwrap().parse().program;
     let witness = transafety::Analysis::new()
@@ -155,6 +176,39 @@ fn phase_commands_honour_model_budget_and_stats_flags() {
         }
     }
     assert!(flushes > 0, "{races}");
+}
+
+/// `tso` and `pso` never present an explanation of bounded behaviour
+/// sets as exact: a stdout marker says so and the exit code is 3, both
+/// when a budget cap trips and when only the per-execution action bound
+/// cuts a loop short.
+#[test]
+fn tso_and_pso_flag_bounded_explanations() {
+    const MARKER: &str = "(bounded: exploration hit its limits; the explanation is not exact)";
+    for cmd in ["tso", "pso"] {
+        let (out, err, code) = drfcheck_full(&["--max-states", "1", cmd, "sb"]);
+        assert_eq!(code, Some(3), "{cmd}: {out}{err}");
+        assert_eq!(out.lines().next(), Some(MARKER), "{cmd}: {out}");
+        let (out, _, code) = drfcheck_full(&[cmd, "sb"]);
+        assert_eq!(code, Some(0), "{cmd}: {out}");
+        assert!(!out.contains(MARKER), "{cmd}: {out}");
+    }
+    // A spin loop that is not await-shaped (its body also moves a
+    // register) runs under the action bound; no budget cap is set.
+    let path = std::env::temp_dir().join(format!("drfcheck-spin-{}.tsl", std::process::id()));
+    std::fs::write(
+        &path,
+        "x := 1;\n||\nwhile (r0 != 1) { r0 := x; r1 := r0; }\nprint r0;\n",
+    )
+    .expect("temp program is writable");
+    let file = path.to_str().expect("utf-8 temp path");
+    for cmd in ["tso", "pso"] {
+        let (out, err, code) = drfcheck_full(&[cmd, file]);
+        assert_eq!(code, Some(3), "{cmd}: {out}{err}");
+        assert_eq!(out.lines().next(), Some(MARKER), "{cmd}: {out}");
+        assert!(err.contains("analysis truncated"), "{cmd}: {err}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! point (modulo the number of applicable rewrites, so a pipeline stays
 //! applicable after the program underneath it shrinks).  The textual
 //! form round-trips through [`Display`](std::fmt::Display) /
-//! [`FromStr`](std::str::FromStr) — `elim:3 reorder:0 any:7` — which is
+//! [`FromStr`] — `elim:3 reorder:0 any:7` — which is
 //! what the regression corpus under `tests/regressions/` stores.
 
 use std::fmt;

@@ -257,7 +257,8 @@ const MAX_DEADLINE_STRIDE: usize = 64;
 /// cooperatively at each state visit.
 ///
 /// The guard is monotonic: the *first* bound to trip records its
-/// [`TruncationReason`] and every later [`should_stop`] call returns
+/// [`TruncationReason`] and every later
+/// [`should_stop`](BudgetGuard::should_stop) call returns
 /// `true` immediately, so all phases of a run agree on why it stopped.
 #[derive(Debug)]
 pub struct BudgetGuard {
@@ -383,7 +384,7 @@ impl BudgetGuard {
     /// visit: consults (in order) the recorded trip, the cancel token
     /// (every call — it is one atomic load, so an external cancellation
     /// stops the very next visit), the state cap, and — on an adaptive
-    /// stride of at most [`MAX_DEADLINE_STRIDE`] calls — the wall
+    /// stride of at most `MAX_DEADLINE_STRIDE` calls — the wall
     /// clock. The first bound to trip wins and is remembered.
     #[must_use]
     pub fn should_stop(&self) -> bool {

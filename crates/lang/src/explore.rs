@@ -11,10 +11,13 @@
 //! # State representation
 //!
 //! Thread configurations are interned once into a per-explorer
-//! [`CfgCache`]: each distinct [`ThreadConfig`] gets a dense `u32` id and
-//! a pre-derived [`StepTemplate`] describing its next emitting step, so
-//! the hot move loop never re-runs `tau_closure` (the old engine ran it
-//! twice per read) and never clones configurations. A machine state is a
+//! [`CfgCache`]: each distinct τ-closed [`ThreadConfig`] gets a dense
+//! `u32` id and a pre-derived [`StepTemplate`] describing its next
+//! emitting step, so the hot move loop never re-runs `tau_closure` (the
+//! old engine ran it twice per read) and never clones configurations.
+//! The cache is the one thread layer of every memory model: the TSO and
+//! PSO machines of `transafety-tso` own a `ProgramExplorer` and step
+//! their threads through the same table ([`Configs`]). A machine state is a
 //! compact word buffer ([`CState`]): per-thread cfg ids, dense memory
 //! values indexed by pre-computed location ids, a written bitmap (the
 //! old `BTreeMap` distinguished never-written from written-zero), and an
@@ -27,7 +30,7 @@
 //! entry points for differential testing and benchmarking.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use transafety_interleaving::intern::{
     FxHashMap, FxHashSet, InternAudit, ScratchPool, StateInterner,
@@ -130,12 +133,16 @@ pub struct ProgramExplorer<'p> {
     /// Sorted monitor universe.
     monitors: Vec<Monitor>,
     /// The interned thread-configuration space plus derived step
-    /// templates, shared by every entry point of this explorer.
+    /// templates, shared by every entry point of this explorer and by
+    /// every memory model built over it (see [`Configs`]).
     cache: Mutex<CfgCache>,
 }
 
-/// Sentinel cfg-id word for a thread that has not started yet.
-const NOT_STARTED: u32 = u32::MAX;
+/// The id of an interned thread configuration (see [`Configs`]).
+pub type CfgId = u32;
+
+/// The cfg-id word of a thread that has not started yet.
+pub const NOT_STARTED: CfgId = u32::MAX;
 
 /// The per-explorer configuration cache: the interned [`ThreadConfig`]
 /// space, a lazily derived [`StepTemplate`] per cfg id, and a memo of
@@ -166,7 +173,8 @@ struct CfgCache {
 ///
 /// Public so other memory-model backends (the TSO/PSO machines of
 /// `transafety-tso`) can run the same dynamic-invisibility and
-/// cycle-proviso arguments over their own thread configurations.
+/// cycle-proviso arguments over the configurations they store
+/// ([`Configs::meta`]).
 #[derive(Debug, Default)]
 pub struct CfgMeta {
     /// Locations the remaining code can still write.
@@ -276,17 +284,10 @@ enum StepTemplate {
     /// read, resolved through the `read_succ` memo of the `at_emit`
     /// configuration (the closure stopped at the load).
     Read { loc: Loc, at_emit: u32 },
-    /// The next action acquires `m` (enabled only when the holder table
-    /// allows it).
-    Lock {
-        m: Monitor,
-        action: Action,
-        next: u32,
-    },
-    /// An unconditional emit (write, external, unlock, …). `releases`
-    /// is set for an unlock whose successor has left the monitor
-    /// entirely — computed from the *pre-normalisation* successor, so a
-    /// finishing thread that leaks a lock keeps holding it.
+    /// Any other action, with its single successor. `releases` is set
+    /// for an unlock whose successor has left the monitor entirely —
+    /// computed from the *pre-normalisation* successor, so a finishing
+    /// thread that leaks a lock keeps holding it.
     Emit {
         action: Action,
         next: u32,
@@ -306,14 +307,149 @@ pub struct CState {
     words: Box<[u32]>,
 }
 
-/// A single enabled move in the compact encoding. `Copy`: applying a
-/// move clones nothing.
+impl CState {
+    /// The cfg id of thread `k`.
+    pub(crate) fn cfg(&self, k: usize) -> CfgId {
+        self.words[k]
+    }
+}
+
+/// One enabled move of one thread, in cfg ids: the action it performs
+/// (a start, or a read already resolved to its value) and the
+/// configuration it leaves the thread in. `Copy`: applying a move
+/// clones nothing.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CMove {
-    pub(crate) thread: usize,
-    pub(crate) action: Action,
-    next_cfg: u32,
-    releases: bool,
+pub struct ThreadMove {
+    /// The moving thread.
+    pub thread: usize,
+    /// The action performed.
+    pub action: Action,
+    /// The thread's configuration after the move.
+    pub next_cfg: CfgId,
+    /// An unlock that drops the monitor's nesting to zero.
+    pub releases: bool,
+}
+
+/// A [`ProgramExplorer`]'s configuration cache, locked for one
+/// expansion (see [`ProgramExplorer::configs`]).
+///
+/// The thread layer of the §6 semantics is the same under every memory
+/// model: the TSO and PSO machines of `transafety-tso` add store
+/// buffers to the *memory* only. So every model stores its threads as
+/// the cfg ids of this one table and steps them through it. Each
+/// distinct τ-closed [`ThreadConfig`] gets a dense id in first-seen
+/// order, and per id the table memoises the closure step, the read
+/// successors and the [`CfgMeta`] footprint. Silent steps are
+/// deterministic and unobservable, so interning the closed form
+/// identifies configurations that differ only in silent progress, under
+/// every model alike.
+#[derive(Debug)]
+pub struct Configs<'a> {
+    cache: MutexGuard<'a, CfgCache>,
+}
+
+impl Configs<'_> {
+    /// The move of thread `thread`, whose slot holds `slot`, if
+    /// enabled: the start move of a thread not yet started, else its
+    /// next action. A load asks `read` for the value it reads (`None`
+    /// disables it); any other action is enabled when `enabled` says
+    /// so. Sets `*truncated` when the thread silently diverges (it then
+    /// has no move).
+    pub fn thread_move(
+        &mut self,
+        thread: usize,
+        slot: CfgId,
+        read: impl FnOnce(Loc) -> Option<Value>,
+        enabled: impl FnOnce(&Action) -> bool,
+        truncated: &mut bool,
+    ) -> Option<ThreadMove> {
+        if slot == NOT_STARTED {
+            return Some(ThreadMove {
+                thread,
+                action: Action::start(ThreadId::new(thread as u32)),
+                next_cfg: self.cache.initial[thread],
+                releases: false,
+            });
+        }
+        match self.cache.template(slot) {
+            StepTemplate::Done => None,
+            StepTemplate::Diverged => {
+                *truncated = true;
+                None
+            }
+            StepTemplate::Read { loc, at_emit } => {
+                let (action, next_cfg) = self.cache.read_successor(at_emit, read(loc)?);
+                Some(ThreadMove {
+                    thread,
+                    action,
+                    next_cfg,
+                    releases: false,
+                })
+            }
+            StepTemplate::Emit {
+                action,
+                next,
+                releases,
+            } => enabled(&action).then_some(ThreadMove {
+                thread,
+                action,
+                next_cfg: next,
+                releases,
+            }),
+        }
+    }
+
+    /// The [`CfgMeta`] of thread `thread`'s remaining code when its slot
+    /// holds `slot`: the whole (τ-closed) body before its start move.
+    pub fn meta(&mut self, thread: usize, slot: CfgId) -> Arc<CfgMeta> {
+        let id = match slot {
+            NOT_STARTED => self.cache.initial[thread],
+            id => id,
+        };
+        self.cache.meta(id)
+    }
+
+    /// The behaviour-phase stutter collapse: drops every move that is a
+    /// failed re-read of an await-watched location (see
+    /// [`CfgMeta::awaits`]) leaving the state unchanged. `act` gives a
+    /// move's thread move and its thread's current cfg id, or `None`
+    /// for a move no thread performs (a buffer flush). A read changes
+    /// nothing but the reader's configuration, so under every model
+    /// `next_cfg == current` is exactly "the successor state is this
+    /// state" (memory and store buffers are untouched either way).
+    /// Returns `(collapsed, wakeups)`: dropped self-loops, and kept
+    /// reads on a watched location (the spinner advancing — a value
+    /// change, a loop exit, or the first iteration materialising its
+    /// guard register). Never used by the race phase: a spin read can
+    /// race, and the representative failed read must stay adjacent to
+    /// every write of the watched location.
+    pub fn collapse_awaits<T>(
+        &mut self,
+        moves: &mut Vec<T>,
+        act: impl Fn(&T) -> Option<(ThreadMove, CfgId)>,
+    ) -> (u64, u64) {
+        let mut collapsed = 0u64;
+        let mut wakeups = 0u64;
+        moves.retain(|mv| {
+            let Some((mv, current)) = act(mv) else {
+                return true;
+            };
+            let Action::Read { loc, .. } = mv.action else {
+                return true;
+            };
+            if current == NOT_STARTED || !self.cache.meta(current).awaits.contains(&loc) {
+                return true;
+            }
+            if mv.next_cfg == current {
+                collapsed += 1;
+                false
+            } else {
+                wakeups += 1;
+                true
+            }
+        });
+        (collapsed, wakeups)
+    }
 }
 
 /// The uncompressed reference state, kept for the pre-interning
@@ -335,6 +471,115 @@ struct PMove {
 /// The previous normal access of the race searches, as
 /// `(thread, location, was_write)`.
 type Prev = Option<(usize, Loc, bool)>;
+
+impl CfgCache {
+    /// Interns a configuration, normalising it to its τ-closure first:
+    /// silent steps (register moves, branch selection, loop
+    /// unfolding/exit) are deterministic and unobservable, so the
+    /// emit-point configuration is semantically interchangeable with
+    /// any silent predecessor — interning the closed form dedups states
+    /// that differ only in silent progress, sharpens the [`CfgMeta`]
+    /// suffix footprints (a decided branch drops the untaken side), and
+    /// gives the ast-size cycle proviso the *unfolded* view of a loop
+    /// head, so entering a register-decided loop iteration is
+    /// size-decreasing like any other statement. Finished threads
+    /// normalise to the canonical empty config (their registers and
+    /// nesting can never be observed again). A silently diverging
+    /// configuration is interned as-is; template derivation flags it.
+    fn intern_normalised(&mut self, cfg: ThreadConfig) -> u32 {
+        let cfg = match cfg.tau_closure(&Domain::zero_to(0), self.max_tau) {
+            Some((_, Step::Done)) => ThreadConfig::new(vec![]),
+            Some((at_emit, _)) => at_emit,
+            None => cfg,
+        };
+        self.cfgs.intern(cfg).0
+    }
+
+    /// The step template of cfg `id`, deriving (and memoising) it on
+    /// first use.
+    fn template(&mut self, id: u32) -> StepTemplate {
+        let i = id as usize;
+        if let Some(Some(t)) = self.templates.get(i) {
+            return *t;
+        }
+        let t = self.derive_template(id);
+        if i >= self.templates.len() {
+            self.templates.resize(i + 1, None);
+        }
+        self.templates[i] = Some(t);
+        t
+    }
+
+    /// One `tau_closure` run, folded into a template. The old engine
+    /// re-ran the closure on every visit (twice for reads); the template
+    /// runs it once per distinct configuration, ever.
+    fn derive_template(&mut self, id: u32) -> StepTemplate {
+        let cfg = self.cfgs.get(id).clone();
+        // The read domain is irrelevant for direct exploration (loads
+        // read memory); pass a minimal domain and resolve reads through
+        // the `at_emit` configuration.
+        let domain = Domain::zero_to(0);
+        let Some((at_emit, step)) = cfg.tau_closure(&domain, self.max_tau) else {
+            return StepTemplate::Diverged;
+        };
+        match step {
+            Step::Done => StepTemplate::Done,
+            Step::Tau(_) => unreachable!("tau_closure never returns Tau"),
+            Step::Emit(successors) => {
+                let (action, next) = successors.into_iter().next().expect("one successor");
+                match action {
+                    Action::Read { loc, .. } => StepTemplate::Read {
+                        loc,
+                        at_emit: self.cfgs.intern(at_emit).0,
+                    },
+                    _ => {
+                        let releases =
+                            matches!(action, Action::Unlock(m) if next.monitor_nesting(m) == 0);
+                        StepTemplate::Emit {
+                            action,
+                            next: self.intern_normalised(next),
+                            releases,
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The [`CfgMeta`] of cfg `id`, deriving (and memoising) it on
+    /// first use.
+    fn meta(&mut self, id: u32) -> Arc<CfgMeta> {
+        let i = id as usize;
+        if let Some(Some(m)) = self.meta.get(i) {
+            return Arc::clone(m);
+        }
+        let m = Arc::new(CfgMeta::of_code(self.cfgs.get(id).code()));
+        if i >= self.meta.len() {
+            self.meta.resize(i + 1, None);
+        }
+        self.meta[i] = Some(Arc::clone(&m));
+        m
+    }
+
+    /// The successor of the `at_emit` configuration when its load reads
+    /// `v`, memoised per `(at_emit, v)`.
+    fn read_successor(&mut self, at_emit: u32, v: Value) -> (Action, u32) {
+        if let Some(&r) = self.read_succ.get(&(at_emit, v.get())) {
+            return r;
+        }
+        let cfg = self.cfgs.get(at_emit).clone();
+        let Step::Emit(succ) = cfg.step(&Domain::from_values([v])) else {
+            unreachable!("closure stopped at an emitting statement")
+        };
+        let (a, next) = succ
+            .into_iter()
+            .find(|(a, _)| a.value() == Some(v))
+            .expect("domain contains v");
+        let r = (a, self.intern_normalised(next));
+        self.read_succ.insert((at_emit, v.get()), r);
+        r
+    }
+}
 
 impl<'p> ProgramExplorer<'p> {
     /// Creates an explorer for the program.
@@ -401,222 +646,72 @@ impl<'p> ProgramExplorer<'p> {
         CState { words }
     }
 
+    /// The program this explorer explores.
+    #[must_use]
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
     // -- configuration cache ------------------------------------------
 
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, CfgCache> {
+    /// Locks the configuration cache for one expansion, (re)building it
+    /// for the silent-step bound `max_tau` first if it was built for
+    /// another. Cfg ids stay valid while the bound stays the same, which
+    /// it does for the whole of one exploration.
+    #[must_use]
+    pub fn configs(&self, max_tau: usize) -> Configs<'_> {
         // Recover from poisoning: a panic caught further up must not
         // take later analyses of this explorer down with it, and the
         // cache is only ever extended, never left half-updated.
-        self.cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn ensure_cache(&self, cache: &mut CfgCache, max_tau: usize) {
-        if cache.valid && cache.max_tau == max_tau {
-            return;
-        }
-        *cache = CfgCache {
-            max_tau,
-            valid: true,
-            ..CfgCache::default()
-        };
-        for k in 0..self.program.thread_count() {
-            let cfg = ThreadConfig::new(
-                self.program
-                    .thread(k)
-                    .expect("thread index in range")
-                    .to_vec(),
-            );
-            let id = Self::intern_normalised(cache, cfg);
-            cache.initial.push(id);
-        }
-    }
-
-    /// Interns a configuration, normalising it to its τ-closure first:
-    /// silent steps (register moves, branch selection, loop
-    /// unfolding/exit) are deterministic and unobservable, so the
-    /// emit-point configuration is semantically interchangeable with
-    /// any silent predecessor — interning the closed form dedups states
-    /// that differ only in silent progress, sharpens the [`CfgMeta`]
-    /// suffix footprints (a decided branch drops the untaken side), and
-    /// gives the ast-size cycle proviso the *unfolded* view of a loop
-    /// head, so entering a register-decided loop iteration is
-    /// size-decreasing like any other statement. Finished threads
-    /// normalise to the canonical empty config (their registers and
-    /// nesting can never be observed again). A silently diverging
-    /// configuration is interned as-is; template derivation flags it.
-    fn intern_normalised(cache: &mut CfgCache, cfg: ThreadConfig) -> u32 {
-        let cfg = match cfg.tau_closure(&Domain::zero_to(0), cache.max_tau) {
-            Some((_, Step::Done)) => ThreadConfig::new(vec![]),
-            Some((at_emit, _)) => at_emit,
-            None => cfg,
-        };
-        cache.cfgs.intern(cfg).0
-    }
-
-    /// The step template of cfg `id`, deriving (and memoising) it on
-    /// first use.
-    fn template(&self, cache: &mut CfgCache, id: u32) -> StepTemplate {
-        let i = id as usize;
-        if let Some(Some(t)) = cache.templates.get(i) {
-            return *t;
-        }
-        let t = self.derive_template(cache, id);
-        let i = id as usize;
-        if i >= cache.templates.len() {
-            cache.templates.resize(i + 1, None);
-        }
-        cache.templates[i] = Some(t);
-        t
-    }
-
-    /// One `tau_closure` run, folded into a template. The old engine
-    /// re-ran the closure on every visit (twice for reads); the template
-    /// runs it once per distinct configuration, ever.
-    fn derive_template(&self, cache: &mut CfgCache, id: u32) -> StepTemplate {
-        let cfg = cache.cfgs.get(id).clone();
-        // The read domain is irrelevant for direct exploration (loads
-        // read memory); pass a minimal domain and resolve reads through
-        // the `at_emit` configuration.
-        let domain = Domain::zero_to(0);
-        let Some((at_emit, step)) = cfg.tau_closure(&domain, cache.max_tau) else {
-            return StepTemplate::Diverged;
-        };
-        match step {
-            Step::Done => StepTemplate::Done,
-            Step::Tau(_) => unreachable!("tau_closure never returns Tau"),
-            Step::Emit(successors) => {
-                let (first_action, _) = &successors[0];
-                match *first_action {
-                    Action::Read { loc, .. } => StepTemplate::Read {
-                        loc,
-                        at_emit: cache.cfgs.intern(at_emit).0,
-                    },
-                    Action::Lock(m) => {
-                        let (a, next) = successors.into_iter().next().expect("one successor");
-                        StepTemplate::Lock {
-                            m,
-                            action: a,
-                            next: Self::intern_normalised(cache, next),
-                        }
-                    }
-                    _ => {
-                        let (a, next) = successors.into_iter().next().expect("one successor");
-                        let releases =
-                            matches!(a, Action::Unlock(m) if next.monitor_nesting(m) == 0);
-                        StepTemplate::Emit {
-                            action: a,
-                            next: Self::intern_normalised(cache, next),
-                            releases,
-                        }
-                    }
-                }
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if !cache.valid || cache.max_tau != max_tau {
+            *cache = CfgCache {
+                max_tau,
+                valid: true,
+                ..CfgCache::default()
+            };
+            for body in self.program.threads() {
+                let id = cache.intern_normalised(ThreadConfig::new(body.clone()));
+                cache.initial.push(id);
             }
         }
-    }
-
-    /// The [`CfgMeta`] of cfg `id`, deriving (and memoising) it on
-    /// first use.
-    fn meta(&self, cache: &mut CfgCache, id: u32) -> Arc<CfgMeta> {
-        let i = id as usize;
-        if let Some(Some(m)) = cache.meta.get(i) {
-            return Arc::clone(m);
-        }
-        let m = Arc::new(CfgMeta::of_code(cache.cfgs.get(id).code()));
-        if i >= cache.meta.len() {
-            cache.meta.resize(i + 1, None);
-        }
-        cache.meta[i] = Some(Arc::clone(&m));
-        m
-    }
-
-    /// The successor of the `at_emit` configuration when its load reads
-    /// `v`, memoised per `(at_emit, v)`.
-    fn read_successor(&self, cache: &mut CfgCache, at_emit: u32, v: Value) -> (Action, u32) {
-        if let Some(&r) = cache.read_succ.get(&(at_emit, v.get())) {
-            return r;
-        }
-        let cfg = cache.cfgs.get(at_emit).clone();
-        let Step::Emit(succ) = cfg.step(&Domain::from_values([v])) else {
-            unreachable!("closure stopped at an emitting statement")
-        };
-        let (a, next) = succ
-            .into_iter()
-            .find(|(a, _)| a.value() == Some(v))
-            .expect("domain contains v");
-        let r = (a, Self::intern_normalised(cache, next));
-        cache.read_succ.insert((at_emit, v.get()), r);
-        r
+        Configs { cache }
     }
 
     // -- moves and transitions ----------------------------------------
 
     /// Enabled moves at `state`, appended to the caller's (cleared)
     /// scratch buffer; sets `*truncated` when a thread silently diverges
-    /// (its moves are then dropped). Locks the cfg cache once per call.
-    fn moves_into(
+    /// (its moves are then dropped).
+    pub(crate) fn moves_into(
         &self,
+        cfgs: &mut Configs<'_>,
         state: &CState,
-        opts: &ExploreOptions,
-        out: &mut Vec<CMove>,
+        out: &mut Vec<ThreadMove>,
         truncated: &mut bool,
     ) {
         out.clear();
-        let mut cache = self.lock_cache();
-        self.ensure_cache(&mut cache, opts.max_tau);
         for k in 0..self.program.thread_count() {
-            let cfg_id = state.words[k];
-            if cfg_id == NOT_STARTED {
-                out.push(CMove {
-                    thread: k,
-                    action: Action::start(ThreadId::new(k as u32)),
-                    next_cfg: cache.initial[k],
-                    releases: false,
-                });
-                continue;
-            }
-            match self.template(&mut cache, cfg_id) {
-                StepTemplate::Done => {}
-                StepTemplate::Diverged => *truncated = true,
-                StepTemplate::Read { loc, at_emit } => {
-                    let v = self.mem(state, loc);
-                    let (action, next_cfg) = self.read_successor(&mut cache, at_emit, v);
-                    out.push(CMove {
-                        thread: k,
-                        action,
-                        next_cfg,
-                        releases: false,
-                    });
-                }
-                StepTemplate::Lock { m, action, next } => {
-                    let h = state.words[self.holder_slot(m)];
-                    if h == 0 || h as usize == k + 1 {
-                        out.push(CMove {
-                            thread: k,
-                            action,
-                            next_cfg: next,
-                            releases: false,
-                        });
+            let mv = cfgs.thread_move(
+                k,
+                state.words[k],
+                |loc| Some(self.mem(state, loc)),
+                |action| match *action {
+                    Action::Lock(m) => {
+                        let h = state.words[self.holder_slot(m)];
+                        h == 0 || h as usize == k + 1
                     }
-                }
-                StepTemplate::Emit {
-                    action,
-                    next,
-                    releases,
-                } => out.push(CMove {
-                    thread: k,
-                    action,
-                    next_cfg: next,
-                    releases,
-                }),
-            }
+                    _ => true,
+                },
+                truncated,
+            );
+            out.extend(mv);
         }
     }
 
-    /// The reduced move set, in the caller's scratch buffer: the ample
-    /// set of the dynamic partial-order reduction, or all enabled moves
-    /// when no reduction applies.
+    /// Reduces the enabled moves in `moves` to the ample set of the
+    /// dynamic partial-order reduction, or leaves them all when no
+    /// reduction applies (or `opts.por` is off).
     ///
     /// Each thread has at most one enabled move here (the program
     /// semantics are deterministic per thread given the memory), and a
@@ -633,29 +728,27 @@ impl<'p> ProgramExplorer<'p> {
     ///
     /// Returns how the expansion was reduced (metrics distinguish ample
     /// hits, proviso-forced full expansions and plain full expansions).
-    fn por_moves_into(
+    pub(crate) fn por_reduce(
         &self,
+        cfgs: &mut Configs<'_>,
         state: &CState,
         opts: &ExploreOptions,
-        out: &mut Vec<CMove>,
-        truncated: &mut bool,
+        moves: &mut Vec<ThreadMove>,
     ) -> ExpansionKind {
-        self.moves_into(state, opts, out, truncated);
         if !opts.por {
             return ExpansionKind::Full;
         }
-        let mut cache = self.lock_cache();
-        // `out` lists threads in ascending index order.
+        // `moves` lists threads in ascending index order.
         let mut saw_invisible = false;
-        for pos in 0..out.len() {
-            let mv = out[pos];
-            if !self.invisible_dyn(&mut cache, state, mv.thread, &mv.action) {
+        for pos in 0..moves.len() {
+            let mv = moves[pos];
+            if !self.invisible_dyn(cfgs, state, mv.thread, &mv.action) {
                 continue;
             }
             saw_invisible = true;
-            if self.proviso_ok(&mut cache, state, &mv) {
-                out.clear();
-                out.push(mv);
+            if self.proviso_ok(cfgs, state, &mv) {
+                moves.clear();
+                moves.push(mv);
                 return ExpansionKind::Ample;
             }
         }
@@ -666,34 +759,9 @@ impl<'p> ProgramExplorer<'p> {
         }
     }
 
-    /// Allocating form of [`por_moves_into`](ProgramExplorer::por_moves_into),
-    /// for the [`ScModel`] backend.
-    pub(crate) fn por_moves_vec(
-        &self,
-        state: &CState,
-        opts: &ExploreOptions,
-        truncated: &mut bool,
-    ) -> (Vec<CMove>, ExpansionKind) {
-        let mut out = Vec::new();
-        let kind = self.por_moves_into(state, opts, &mut out, truncated);
-        (out, kind)
-    }
-
-    /// Allocating form of [`moves_into`](ProgramExplorer::moves_into).
-    pub(crate) fn moves_vec(
-        &self,
-        state: &CState,
-        opts: &ExploreOptions,
-        truncated: &mut bool,
-    ) -> Vec<CMove> {
-        let mut out = Vec::new();
-        self.moves_into(state, opts, &mut out, truncated);
-        out
-    }
-
     /// Applies a move: clone the parent's word buffer and patch the
     /// affected words (no config clones, no tree rebuilds).
-    pub(crate) fn apply(&self, state: &CState, mv: &CMove) -> CState {
+    pub(crate) fn apply(&self, state: &CState, mv: &ThreadMove) -> CState {
         let mut words = state.words.clone();
         words[mv.thread] = mv.next_cfg;
         match mv.action {
@@ -726,7 +794,7 @@ impl<'p> ProgramExplorer<'p> {
     /// program order). Mirrors
     /// `transafety_interleaving::Explorer`'s predicate; see
     /// `docs/paper-mapping.md` for the soundness argument.
-    fn invisible_dyn(&self, cache: &mut CfgCache, state: &CState, k: usize, a: &Action) -> bool {
+    fn invisible_dyn(&self, cfgs: &mut Configs<'_>, state: &CState, k: usize, a: &Action) -> bool {
         match *a {
             Action::Start(_) => return true,
             Action::Read { loc, .. } | Action::Write { loc, .. } if loc.is_volatile() => {
@@ -738,11 +806,7 @@ impl<'p> ProgramExplorer<'p> {
             if j == k {
                 continue;
             }
-            let id = match state.words[j] {
-                NOT_STARTED => cache.initial[j],
-                id => id,
-            };
-            let m = self.meta(cache, id);
+            let m = cfgs.meta(j, state.words[j]);
             let conflicts = match *a {
                 Action::Start(_) => false,
                 Action::Read { loc, .. } => m.writes.contains(&loc),
@@ -765,12 +829,12 @@ impl<'p> ProgramExplorer<'p> {
     /// decreases along any ample-only path, and every cycle of the
     /// reduced state graph (a loop iteration maps a configuration back
     /// to itself, size unchanged) contains a fully expanded state.
-    fn proviso_ok(&self, cache: &mut CfgCache, state: &CState, mv: &CMove) -> bool {
+    fn proviso_ok(&self, cfgs: &mut Configs<'_>, state: &CState, mv: &ThreadMove) -> bool {
         if matches!(mv.action, Action::Start(_)) {
             return true;
         }
-        let cur = self.meta(cache, state.words[mv.thread]).ast_size;
-        self.meta(cache, mv.next_cfg).ast_size < cur
+        let cur = cfgs.meta(mv.thread, state.words[mv.thread]).ast_size;
+        cfgs.meta(mv.thread, mv.next_cfg).ast_size < cur
     }
 
     /// The behaviours of the program's executions, by memoised dynamic
@@ -802,14 +866,18 @@ impl<'p> ProgramExplorer<'p> {
         ModelExplorer::new(&ScModel::new(self)).behaviours_governed(opts, guard)
     }
 
-    /// The per-execution action bound of the behaviour phase. Loop-free
-    /// programs need none (every action consumes a statement, so the
-    /// state graph is a DAG). With the await reduction on, a program
-    /// whose *only* loops are await loops needs none either: the only
-    /// moves that could close a cycle are failed await re-reads, the
-    /// second of which is an exact self-loop the collapse drops — so
-    /// the collapsed graph is acyclic and the exploration is exact.
-    pub(crate) fn fuel(&self, opts: &ExploreOptions) -> usize {
+    /// The per-execution action bound of the behaviour phase, under
+    /// every memory model. Loop-free programs need none (every action
+    /// consumes a statement, and on the buffered machines every flush
+    /// shrinks a buffer, so the state graph is a DAG). With the await
+    /// reduction on, a program whose *only* loops are await loops needs
+    /// none either: the only moves that could close a cycle are failed
+    /// await re-reads, the second of which is an exact self-loop the
+    /// collapse drops — so the collapsed graph is acyclic and the
+    /// exploration is exact. Await bodies store nothing, so the store
+    /// buffers of such a program stay bounded too.
+    #[must_use]
+    pub fn fuel(&self, opts: &ExploreOptions) -> usize {
         if !program_has_loops(self.program)
             || (opts.awaits && program_loops_are_awaits(self.program))
         {
@@ -817,40 +885,6 @@ impl<'p> ProgramExplorer<'p> {
         } else {
             opts.max_actions
         }
-    }
-
-    /// The behaviour-phase stutter collapse: drops every move that is a
-    /// failed re-read of an await-watched location (see
-    /// [`CfgMeta::awaits`]) leaving the state unchanged — applying a
-    /// read patches only the moving thread's cfg word, so `next_cfg ==
-    /// current cfg` is exactly "the successor state is this state".
-    /// Returns `(collapsed, wakeups)`: dropped self-loops, and kept
-    /// reads on a watched location (the spinner advancing — a value
-    /// change, a loop exit, or the first iteration materialising its
-    /// guard register). Never used by the race phase: a spin read can
-    /// race, and the representative failed read must stay adjacent to
-    /// every write of the watched location.
-    pub(crate) fn collapse_awaits(&self, state: &CState, moves: &mut Vec<CMove>) -> (u64, u64) {
-        let mut collapsed = 0u64;
-        let mut wakeups = 0u64;
-        let mut cache = self.lock_cache();
-        moves.retain(|mv| {
-            let Action::Read { loc, .. } = mv.action else {
-                return true;
-            };
-            let cur = state.words[mv.thread];
-            if cur == NOT_STARTED || !self.meta(&mut cache, cur).awaits.contains(&loc) {
-                return true;
-            }
-            if mv.next_cfg == cur {
-                collapsed += 1;
-                false
-            } else {
-                wakeups += 1;
-                true
-            }
-        });
-        (collapsed, wakeups)
     }
 
     /// Searches for a data race (§3's adjacent-conflict condition over
@@ -895,7 +929,7 @@ impl<'p> ProgramExplorer<'p> {
     ) -> Option<Interleaving> {
         let mut interner: StateInterner<CState> = StateInterner::new();
         let mut visited: FxHashSet<(u32, usize)> = FxHashSet::default();
-        let mut scratch: ScratchPool<CMove> = ScratchPool::new();
+        let mut scratch: ScratchPool<ThreadMove> = ScratchPool::new();
         let mut path: Vec<Event> = Vec::new();
         let mut truncated = false;
         self.behaviour_dfs(
@@ -922,7 +956,7 @@ impl<'p> ProgramExplorer<'p> {
         interner: &mut StateInterner<CState>,
         visited: &mut FxHashSet<(u32, usize)>,
         path: &mut Vec<Event>,
-        scratch: &mut ScratchPool<CMove>,
+        scratch: &mut ScratchPool<ThreadMove>,
         truncated: &mut bool,
     ) -> bool {
         if emitted == target.len() {
@@ -936,7 +970,7 @@ impl<'p> ProgramExplorer<'p> {
             return false;
         }
         let mut buf = scratch.take();
-        self.moves_into(&state, opts, &mut buf, truncated);
+        self.moves_into(&mut self.configs(opts.max_tau), &state, &mut buf, truncated);
         for &mv in buf.iter() {
             let next_emitted = match mv.action {
                 Action::External(v) => {
@@ -1153,7 +1187,7 @@ impl<'p> ProgramExplorer<'p> {
     }
 
     /// The reference-engine mirror of
-    /// [`por_moves_into`](ProgramExplorer::por_moves_into): the same
+    /// [`por_reduce`](ProgramExplorer::por_reduce): the same
     /// dynamic invisibility predicate and ast-size proviso, computed
     /// directly from the uncompressed configurations (no memo), so the
     /// two engines select bit-identical ample sets.
@@ -1517,18 +1551,17 @@ impl<'p> ProgramExplorer<'p> {
                 continue;
             }
             audit.states += 1;
-            {
-                let mut cache = self.lock_cache();
-                self.ensure_cache(&mut cache, opts.max_tau);
-                if self.encode_ref(&mut cache, &rs) != cs || self.decode(&cache, &cs) != rs {
-                    audit.roundtrips = false;
-                }
+            let mut cfgs = self.configs(opts.max_tau);
+            if self.encode_ref(&mut cfgs.cache, &rs) != cs || self.decode(&cfgs.cache, &cs) != rs {
+                audit.roundtrips = false;
             }
             if audit.states >= max_states {
                 audit.capped = true;
                 break;
             }
-            let cmoves = self.moves_vec(&cs, opts, &mut truncated);
+            let mut cmoves = Vec::new();
+            self.moves_into(&mut cfgs, &cs, &mut cmoves, &mut truncated);
+            drop(cfgs);
             let rmoves = self.ref_moves(&rs, opts, &mut truncated);
             let agree = cmoves.len() == rmoves.len()
                 && cmoves
@@ -1605,11 +1638,9 @@ fn collect_monitors(s: &crate::ast::Stmt, out: &mut std::collections::BTreeSet<M
 }
 
 /// Does the program contain a `while` loop (anywhere)? Loop-free
-/// programs admit exact, fuel-free exploration: every action consumes a
-/// statement (and, on the buffered machines of `transafety-tso`, every
-/// flush shrinks a buffer), so the state graph is a DAG.
-#[must_use]
-pub fn program_has_loops(p: &Program) -> bool {
+/// programs admit exact, fuel-free exploration (see
+/// [`ProgramExplorer::fuel`]).
+fn program_has_loops(p: &Program) -> bool {
     fn stmt_has_loop(s: &crate::ast::Stmt) -> bool {
         match s {
             crate::ast::Stmt::While { .. } => true,
@@ -1630,10 +1661,8 @@ pub fn program_has_loops(p: &Program) -> bool {
 /// true and the await reduction is on, the behaviour phase runs without
 /// an action bound: every statement outside a loop is consumed
 /// permanently, await bodies write nothing, and the collapse removes
-/// the only self-loops, so the collapsed state graph is acyclic.
-/// Public so other memory-model backends (the TSO/PSO machines of
-/// `transafety-tso`) apply the same fuel policy — an await-only program
-/// has no store in any loop, so its store buffers are bounded too.
+/// the only self-loops, so the collapsed state graph is acyclic (see
+/// [`ProgramExplorer::fuel`]).
 #[must_use]
 pub fn program_loops_are_awaits(p: &Program) -> bool {
     fn stmt_ok(s: &crate::ast::Stmt) -> bool {

@@ -31,7 +31,8 @@ mod semantics;
 
 pub use ast::{Cond, Operand, Program, Reg, Stmt};
 pub use explore::{
-    program_has_loops, program_loops_are_awaits, Bounded, CfgMeta, ExploreOptions, ProgramExplorer,
+    program_loops_are_awaits, Bounded, CfgId, CfgMeta, Configs, ExploreOptions, ProgramExplorer,
+    ThreadMove, NOT_STARTED,
 };
 pub use model::{
     MemoryModel, ModelExplorer, ModelMove, ModelRaceWitness, MoveLabel, Reduced, ReductionGoal,

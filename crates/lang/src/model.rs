@@ -11,7 +11,9 @@
 //! [`MemoryModel`] abstracts exactly what the engines need from a
 //! semantics: an initial machine state, the enabled successor moves of
 //! a state (each carrying an optional [`Action`] label — buffer flushes
-//! are unlabelled), and the fuel policy that bounds loopy programs. The
+//! are unlabelled), the fuel policy that bounds loopy programs, and the
+//! program's SC explorer, whose configuration table every model's
+//! threads step through ([`MemoryModel::explorer`]). The
 //! generic [`ModelExplorer`] then provides the governed engines —
 //! memoised behaviour extraction, the adjacent-conflict race search and
 //! the reachable-state census — with the same budget checks, state
@@ -24,7 +26,11 @@
 //! `ModelExplorer<ScModel>`, and the pre-existing agreement suites
 //! (POR/reference/metrics) pin the refactor to the old
 //! engines' observable output. The TSO and PSO machines of the
-//! `transafety-tso` crate implement the trait in that crate.
+//! `transafety-tso` crate implement the trait in that crate, over the
+//! program's own `ProgramExplorer`: every model steps its threads
+//! through that explorer's configuration table
+//! ([`Configs`](crate::Configs)) and reaches it through
+//! [`MemoryModel::explorer`].
 //!
 //! Partial-order reduction is **negotiated per model and per goal**:
 //! [`MemoryModel::reduced_moves`] receives a [`ReductionGoal`] naming
@@ -52,7 +58,7 @@ use transafety_interleaving::metrics::{Counter, CounterTally, ExpansionKind, Pha
 use transafety_interleaving::{Behaviours, BudgetGuard, Event, Interleaving, RaceWitness};
 use transafety_traces::{Action, Loc, MemoryModelKind, ThreadId};
 
-use crate::explore::{Bounded, ExploreOptions, ProgramExplorer};
+use crate::explore::{Bounded, CState, ExploreOptions, ProgramExplorer, ThreadMove};
 
 /// The label of a machine transition: a program action, or an internal
 /// store-buffer flush that performs no action.
@@ -243,6 +249,15 @@ pub trait MemoryModel {
     fn lift_sc_witness(&self, witness: ModelRaceWitness) -> ModelRaceWitness {
         witness
     }
+
+    /// The SC explorer of the program this model explores. Its
+    /// configuration cache is the one table of thread configurations
+    /// every model steps its threads through
+    /// ([`Configs`](crate::Configs)), and its race search answers the
+    /// race question under every model (see
+    /// [`lift_sc_witness`](MemoryModel::lift_sc_witness)), so the
+    /// phases of one analysis intern each configuration once.
+    fn explorer(&self) -> &ProgramExplorer<'_>;
 }
 
 /// The previous normal access of the race searches, as
@@ -800,10 +815,22 @@ impl<'e, 'p> ScModel<'e, 'p> {
     pub fn new(explorer: &'e ProgramExplorer<'p>) -> Self {
         ScModel { explorer }
     }
+
+    /// The model moves of `moves`, each applied to `state`.
+    fn model_moves(&self, state: &CState, moves: Vec<ThreadMove>) -> Vec<ModelMove<CState>> {
+        moves
+            .into_iter()
+            .map(|mv| ModelMove {
+                thread: mv.thread,
+                label: MoveLabel::Action(mv.action),
+                next: self.explorer.apply(state, &mv),
+            })
+            .collect()
+    }
 }
 
 impl MemoryModel for ScModel<'_, '_> {
-    type State = crate::explore::CState;
+    type State = CState;
 
     fn kind(&self) -> MemoryModelKind {
         MemoryModelKind::Sc
@@ -819,15 +846,11 @@ impl MemoryModel for ScModel<'_, '_> {
         opts: &ExploreOptions,
         truncated: &mut bool,
     ) -> Vec<ModelMove<Self::State>> {
+        let mut moves = Vec::new();
+        let mut cfgs = self.explorer.configs(opts.max_tau);
         self.explorer
-            .moves_vec(state, opts, truncated)
-            .into_iter()
-            .map(|mv| ModelMove {
-                thread: mv.thread,
-                label: MoveLabel::Action(mv.action),
-                next: self.explorer.apply(state, &mv),
-            })
-            .collect()
+            .moves_into(&mut cfgs, state, &mut moves, truncated);
+        self.model_moves(state, moves)
     }
 
     fn reduced_moves(
@@ -837,10 +860,14 @@ impl MemoryModel for ScModel<'_, '_> {
         opts: &ExploreOptions,
         truncated: &mut bool,
     ) -> Reduced<Self::State> {
+        let mut moves = Vec::new();
+        let mut cfgs = self.explorer.configs(opts.max_tau);
+        self.explorer
+            .moves_into(&mut cfgs, state, &mut moves, truncated);
         // The SC POR serves both goals: there are no flushes, so the
         // race-goal witness argument (check-before-carry plus reorder)
         // holds for the same ample sets that preserve behaviours.
-        let (mut moves, kind) = self.explorer.por_moves_vec(state, opts, truncated);
+        let kind = self.explorer.por_reduce(&mut cfgs, state, opts, &mut moves);
         // The await collapse serves only the behaviour goal: a spin
         // read can race, so the race search keeps every failed read
         // adjacent to the writes of the watched location. A self-loop
@@ -848,19 +875,13 @@ impl MemoryModel for ScModel<'_, '_> {
         // ample singleton and collapsing after the POR drops nothing
         // the reduction relied on.
         let (await_collapsed, await_wakeups) = if goal == ReductionGoal::Behaviours && opts.awaits {
-            self.explorer.collapse_awaits(state, &mut moves)
+            cfgs.collapse_awaits(&mut moves, |mv| Some((*mv, state.cfg(mv.thread))))
         } else {
             (0, 0)
         };
+        drop(cfgs);
         Reduced {
-            moves: moves
-                .into_iter()
-                .map(|mv| ModelMove {
-                    thread: mv.thread,
-                    label: MoveLabel::Action(mv.action),
-                    next: self.explorer.apply(state, &mv),
-                })
-                .collect(),
+            moves: self.model_moves(state, moves),
             kind,
             await_collapsed,
             await_wakeups,
@@ -876,5 +897,9 @@ impl MemoryModel for ScModel<'_, '_> {
         // program constants), so the race search and census are exact
         // without fuel.
         usize::MAX
+    }
+
+    fn explorer(&self) -> &ProgramExplorer<'_> {
+        self.explorer
     }
 }

@@ -54,7 +54,7 @@ pub use action::Action;
 pub use domain::Domain;
 pub use error::TraceError;
 pub use ids::{Loc, Monitor, ThreadId};
-pub use matching::Matching;
+pub use matching::{Matching, MatchingConflict};
 pub use model::{MemoryModelKind, UnknownModel};
 pub use trace::Trace;
 pub use traceset::{Cursor, MaximalTraces, Traceset, TracesetTraces};

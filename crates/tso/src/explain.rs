@@ -13,7 +13,7 @@
 //! closure of exactly that model's rule fragment.
 
 use transafety_interleaving::{Behaviours, BudgetGuard};
-use transafety_lang::{ExploreOptions, MemoryModel, ModelExplorer, Program, ProgramExplorer};
+use transafety_lang::{ExploreOptions, MemoryModel, ModelExplorer, ProgramExplorer};
 use transafety_syntactic::transform_closure_filtered;
 use transafety_traces::MemoryModelKind;
 
@@ -40,31 +40,33 @@ pub struct Explanation {
     pub complete: bool,
 }
 
-/// Checks the §8 claim on one program: every behaviour of `program`
-/// under the model `mx` explores is an SC behaviour of some member of
-/// the closure of the rules
+/// Checks the §8 claim on the program `mx` explores: every behaviour of
+/// it under the model is an SC behaviour of some member of the closure
+/// of the rules
 /// [`subsumed_under`](transafety_syntactic::RuleName::subsumed_under)
-/// that model (up to `depth` rewrite steps). `mx` must explore
-/// `program`. Every exploration runs under `guard`; a tripped guard
-/// leaves [`complete`](Explanation::complete) false.
+/// that model (up to `depth` rewrite steps). The program's own SC
+/// behaviours come from the model's
+/// [`explorer`](MemoryModel::explorer), so they share its configuration
+/// table. Every exploration runs under `guard`; a tripped guard leaves
+/// [`complete`](Explanation::complete) false.
 #[must_use]
 pub fn explain<M: MemoryModel>(
     mx: &ModelExplorer<'_, M>,
-    program: &Program,
     depth: usize,
     opts: &ExploreOptions,
     guard: &BudgetGuard,
 ) -> Explanation {
     let model = mx.model().kind();
-    let sc_behaviours = |p: &Program| ProgramExplorer::new(p).behaviours_governed(opts, guard);
+    let explorer = mx.model().explorer();
     let model_b = mx.behaviours_governed(opts, guard);
-    let sc_b = sc_behaviours(program);
+    let sc_b = explorer.behaviours_governed(opts, guard);
+    let program = explorer.program();
     let closure = transform_closure_filtered(program, depth, |rule| rule.subsumed_under(model));
     let closure_size = closure.len();
     let mut union: Behaviours = Behaviours::new();
     let mut complete = model_b.complete && sc_b.complete;
     for q in closure {
-        let b = sc_behaviours(&q);
+        let b = ProgramExplorer::new(&q).behaviours_governed(opts, guard);
         complete &= b.complete;
         union.extend(b.value);
     }
@@ -99,7 +101,6 @@ mod tests {
         let guard = BudgetGuard::unlimited();
         explain(
             &ModelExplorer::new(&tso),
-            &p,
             depth,
             &ExploreOptions::default(),
             &guard,

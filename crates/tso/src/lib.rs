@@ -4,6 +4,15 @@
 //! reordering plus forwarding elimination; PSO adds write→write
 //! reordering).
 //!
+//! The machines add store buffers to the memory only. A thread steps as
+//! it does under SC, so each model owns the program's
+//! [`ProgramExplorer`](transafety_lang::ProgramExplorer) and steps its
+//! threads through that explorer's configuration cache
+//! ([`Configs`](transafety_lang::Configs)), with SC's fuel policy and
+//! await collapse. This crate holds what differs: the buffers and their
+//! flushes, the fence rule, the buffered partial-order reduction and the
+//! lift of an SC race witness to a buffered schedule.
+//!
 //! # Example
 //!
 //! ```
@@ -15,7 +24,7 @@
 //! let p = parse_program(
 //!     "x := 1; r1 := y; print r1; || y := 1; r2 := x; print r2;")?.program;
 //! let tso = TsoModel::new(&p);
-//! let e = explain(&ModelExplorer::new(&tso), &p, 3,
+//! let e = explain(&ModelExplorer::new(&tso), 3,
 //!     &ExploreOptions::default(), &BudgetGuard::unlimited());
 //! assert!(e.relaxed && e.explained);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -27,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod configs;
+mod buffered;
 mod explain;
 mod machine;
 mod model;

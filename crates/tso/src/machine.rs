@@ -18,14 +18,15 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use transafety_lang::{ExploreOptions, MoveLabel};
+use transafety_lang::{CfgId, MoveLabel, NOT_STARTED};
 use transafety_traces::{Action, Loc, Monitor, Value};
 
-use crate::configs::{apply_act, BufferedMove, CfgId, ConfigTable, Machine, NOT_STARTED};
+use crate::buffered::{apply_act, BufferedMove, Machine};
 
-/// A TSO machine state: per-thread configuration ids (interned by the
-/// [`TsoModel`](crate::TsoModel)), per-thread FIFO store buffers,
-/// shared memory, and the monitor holder table.
+/// A TSO machine state: per-thread configuration ids (of the program's
+/// configuration table, see [`Configs`](transafety_lang::Configs)),
+/// per-thread FIFO store buffers, shared memory, and the monitor holder
+/// table.
 ///
 /// Public only as the opaque
 /// [`MemoryModel::State`](transafety_lang::MemoryModel) of the
@@ -39,19 +40,6 @@ pub struct TsoState {
     holders: BTreeMap<Monitor, usize>,
 }
 
-impl TsoState {
-    /// The value thread `k` reads from `loc`: the youngest buffered store
-    /// to `loc` in its own buffer, else shared memory.
-    fn read_value(&self, k: usize, loc: Loc) -> Value {
-        self.buffers[k]
-            .iter()
-            .rev()
-            .find(|(l, _)| *l == loc)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| self.memory.get(&loc).copied().unwrap_or(Value::ZERO))
-    }
-}
-
 impl Machine for TsoState {
     fn initial(threads: usize) -> Self {
         TsoState {
@@ -62,26 +50,34 @@ impl Machine for TsoState {
         }
     }
 
-    fn cfg(&self, k: usize) -> CfgId {
-        self.threads[k]
+    fn threads(&self) -> &[CfgId] {
+        &self.threads
+    }
+
+    fn holders(&self) -> &BTreeMap<Monitor, usize> {
+        &self.holders
     }
 
     fn has_buffered(&self, k: usize, loc: Loc) -> bool {
         self.buffers[k].iter().any(|(l, _)| *l == loc)
     }
 
-    /// All enabled moves, in deterministic order: every flush of a
-    /// non-empty buffer, then each thread's start or act move. A thread's
-    /// volatile accesses, locks and unlocks act as fences (its buffer
-    /// must have drained).
-    fn moves(
-        &self,
-        table: &mut ConfigTable,
-        opts: &ExploreOptions,
-        truncated: &mut bool,
-    ) -> Vec<BufferedMove> {
-        let mut out: Vec<BufferedMove> = self
-            .buffers
+    fn drained(&self, k: usize) -> bool {
+        self.buffers[k].is_empty()
+    }
+
+    fn read_value(&self, k: usize, loc: Loc) -> Value {
+        self.buffers[k]
+            .iter()
+            .rev()
+            .find(|(l, _)| *l == loc)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| self.memory.get(&loc).copied().unwrap_or(Value::ZERO))
+    }
+
+    /// The oldest store of every non-empty buffer.
+    fn flushes(&self) -> Vec<BufferedMove> {
+        self.buffers
             .iter()
             .enumerate()
             .filter_map(|(k, buffer)| {
@@ -89,50 +85,24 @@ impl Machine for TsoState {
                     .front()
                     .map(|&(loc, _)| BufferedMove::Flush { thread: k, loc })
             })
-            .collect();
-        for (k, &slot) in self.threads.iter().enumerate() {
-            out.extend(table.thread_move(
-                k,
-                slot,
-                opts.max_tau,
-                self.buffers[k].is_empty(),
-                &self.holders,
-                |loc| self.read_value(k, loc),
-                truncated,
-            ));
-        }
-        out
+            .collect()
     }
 
     fn apply(&self, mv: &BufferedMove) -> TsoState {
         let mut next = self.clone();
-        match *mv {
-            BufferedMove::Start { thread, cfg } => next.threads[thread] = cfg,
+        match mv {
             BufferedMove::Flush { thread, .. } => {
-                if let Some((loc, v)) = next.buffers[thread].pop_front() {
+                if let Some((loc, v)) = next.buffers[*thread].pop_front() {
                     next.memory.insert(loc, v);
                 }
             }
-            BufferedMove::Act {
-                thread,
-                action,
-                next: cfg,
-                releases,
-            } => {
-                if let Action::Write { loc, value } = action {
+            BufferedMove::Act(act) => {
+                if let Action::Write { loc, value } = act.action {
                     if !loc.is_volatile() {
-                        next.buffers[thread].push_back((loc, value));
+                        next.buffers[act.thread].push_back((loc, value));
                     }
                 }
-                apply_act(
-                    &mut next.threads,
-                    &mut next.memory,
-                    &mut next.holders,
-                    thread,
-                    action,
-                    cfg,
-                    releases,
-                );
+                apply_act(&mut next.threads, &mut next.memory, &mut next.holders, act);
             }
         }
         next
@@ -148,7 +118,7 @@ mod tests {
     use super::*;
     use crate::model::TsoModel;
     use transafety_interleaving::Behaviours;
-    use transafety_lang::{parse_program, ModelExplorer, ProgramExplorer};
+    use transafety_lang::{parse_program, ExploreOptions, ModelExplorer, ProgramExplorer};
 
     fn v(n: u32) -> Value {
         Value::new(n)

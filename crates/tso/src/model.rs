@@ -6,6 +6,12 @@
 //! the checker's `Analysis` pipeline with budgets, interning and
 //! metrics — runs the buffered semantics unchanged.
 //!
+//! Each model owns the program's [`ProgramExplorer`]. Its threads step
+//! through that explorer's configuration table ([`Configs`]), and it
+//! takes SC's action bound ([`ProgramExplorer::fuel`]) and await
+//! collapse ([`Configs::collapse_awaits`]) as they are; only the
+//! buffers, the fence rule and the reduction below are its own.
+//!
 //! Partial-order reduction **is** implemented here, for the
 //! [`ReductionGoal::Behaviours`] goal only. Two ample-set shapes are
 //! proven for the buffered machines and checked dynamically per state:
@@ -56,17 +62,16 @@
 //! [`MemoryModel::lift_sc_witness`]: the SC interleaving, with every
 //! non-volatile store flushed right after it is buffered.
 
-use std::marker::PhantomData;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use transafety_interleaving::metrics::ExpansionKind;
 use transafety_lang::{
-    program_has_loops, program_loops_are_awaits, CfgMeta, ExploreOptions, MemoryModel, ModelMove,
-    ModelRaceWitness, MoveLabel, Program, Reduced, ReductionGoal, ScheduleStep,
+    CfgMeta, Configs, ExploreOptions, MemoryModel, ModelMove, ModelRaceWitness, MoveLabel, Program,
+    ProgramExplorer, Reduced, ReductionGoal, ScheduleStep,
 };
-use transafety_traces::{Action, MemoryModelKind, ThreadId};
+use transafety_traces::{Action, MemoryModelKind};
 
-use crate::configs::{BufferedMove, ConfigTable, Machine};
+use crate::buffered::{BufferedMove, Machine};
 use crate::machine::TsoState;
 use crate::pso::PsoState;
 
@@ -79,12 +84,17 @@ use crate::pso::PsoState;
 /// per thread), so no cycle of the reduced graph is ample-only and the
 /// ignoring problem cannot arise.
 fn reduce_buffered<S: Machine>(
-    table: &mut ConfigTable,
+    cfgs: &mut Configs<'_>,
     state: &S,
-    threads: usize,
     mut moves: Vec<BufferedMove>,
 ) -> (Vec<BufferedMove>, ExpansionKind) {
-    let metas: Vec<Arc<CfgMeta>> = (0..threads).map(|j| table.meta(state.cfg(j), j)).collect();
+    let metas: Vec<Arc<CfgMeta>> = state
+        .threads()
+        .iter()
+        .enumerate()
+        .map(|(j, &slot)| cfgs.meta(j, slot))
+        .collect();
+    let threads = metas.len();
     // Commuting-flush singleton: nobody but the flusher can ever
     // observe the drained location.
     let ample_flush = moves.iter().position(|mv| {
@@ -101,23 +111,17 @@ fn reduce_buffered<S: Machine>(
     // Invisible-act singleton, gated by the cycle proviso.
     let mut saw_invisible = false;
     for i in 0..moves.len() {
-        let (k, action, next) = match moves[i] {
-            BufferedMove::Flush { .. } => continue,
+        let BufferedMove::Act(act) = moves[i] else {
+            continue;
+        };
+        let k = act.thread;
+        let invisible = match act.action {
             // A start is invisible and fires at most once per thread,
             // so it can never lie on a cycle of the reduced graph.
-            BufferedMove::Start { .. } => {
+            Action::Start(_) => {
                 let mv = moves.swap_remove(i);
                 return (vec![mv], ExpansionKind::Ample);
             }
-            BufferedMove::Act {
-                thread,
-                action,
-                next,
-                ..
-            } => (thread, action, next),
-        };
-        let invisible = match action {
-            Action::Start(_) => unreachable!("starts are not act moves"),
             Action::Read { loc, .. } | Action::Write { loc, .. } if loc.is_volatile() => false,
             Action::Read { loc, .. } => {
                 // No other thread may ever write (or have buffered) the
@@ -140,7 +144,7 @@ fn reduce_buffered<S: Machine>(
             continue;
         }
         saw_invisible = true;
-        if table.meta(next, k).ast_size < metas[k].ast_size {
+        if cfgs.meta(k, act.next_cfg).ast_size < metas[k].ast_size {
             let mv = moves.swap_remove(i);
             return (vec![mv], ExpansionKind::Ample);
         }
@@ -151,49 +155,6 @@ fn reduce_buffered<S: Machine>(
         ExpansionKind::Full
     };
     (moves, kind)
-}
-
-/// The behaviour-goal await stutter collapse for the buffered machines
-/// (the analogue of the SC engine's collapse; see
-/// [`ExploreOptions::awaits`]): drops an act-read of an await-watched
-/// location whose successor is exactly the current machine state. A
-/// read changes nothing but the reader's configuration, so that is the
-/// case exactly when the successor id is the reader's current id —
-/// memory **and buffers** are untouched either way, so a spin that must
-/// still observe its own store buffer is kept: a forwarded read that
-/// exits the loop changes the configuration, and until the guard
-/// register materialises the first re-read changes it too. Returns
-/// `(collapsed, wakeups)`.
-fn collapse_awaits_buffered<S: Machine>(
-    table: &mut ConfigTable,
-    state: &S,
-    moves: &mut Vec<BufferedMove>,
-) -> (u64, u64) {
-    let mut collapsed = 0u64;
-    let mut wakeups = 0u64;
-    moves.retain(|mv| {
-        let BufferedMove::Act {
-            thread,
-            action: Action::Read { loc, .. },
-            next,
-            ..
-        } = *mv
-        else {
-            return true;
-        };
-        let current = state.cfg(thread);
-        if !table.meta(current, thread).awaits.contains(&loc) {
-            return true;
-        }
-        if next == current {
-            collapsed += 1;
-            false
-        } else {
-            wakeups += 1;
-            true
-        }
-    });
-    (collapsed, wakeups)
 }
 
 /// Lifts an SC race witness to the buffered machine `S`: the same
@@ -226,118 +187,69 @@ fn lift_sc_witness<S: Machine>(sc: ModelRaceWitness) -> ModelRaceWitness {
     }
 }
 
-/// The backend both buffered models share: the configuration table of
-/// the program, shared by every phase and worker of the model's
-/// explorations, and the fuel policy.
-#[derive(Debug)]
-struct Buffered {
-    configs: Mutex<ConfigTable>,
-    loops: bool,
-    awaits_only: bool,
-    threads: usize,
+/// Builds the model move of `mv`, applying it to `state`.
+fn model_move<S: Machine>(state: &S, mv: BufferedMove) -> ModelMove<S> {
+    let next = state.apply(&mv);
+    match mv {
+        BufferedMove::Act(act) => ModelMove {
+            thread: act.thread,
+            label: MoveLabel::Action(act.action),
+            next,
+        },
+        BufferedMove::Flush { thread, loc } => ModelMove {
+            thread,
+            label: S::flush_label(loc),
+            next,
+        },
+    }
 }
 
-impl Buffered {
-    fn new(program: &Program) -> Self {
-        Buffered {
-            configs: Mutex::new(ConfigTable::new(program)),
-            loops: program_has_loops(program),
-            awaits_only: program_loops_are_awaits(program),
-            threads: program.thread_count(),
-        }
-    }
+/// All enabled moves of `state`, its threads stepped through the
+/// configuration table of `explorer`.
+fn buffered_moves<S: Machine>(
+    explorer: &ProgramExplorer<'_>,
+    state: &S,
+    opts: &ExploreOptions,
+    truncated: &mut bool,
+) -> Vec<ModelMove<S>> {
+    let moves = state.moves(&mut explorer.configs(opts.max_tau), truncated);
+    moves.into_iter().map(|mv| model_move(state, mv)).collect()
+}
 
-    /// Locks the configuration table. A poisoned lock is recovered: a
-    /// panic caught further up must not take later analyses of this
-    /// machine down with it, and the table is only ever extended.
-    fn table(&self) -> MutexGuard<'_, ConfigTable> {
-        self.configs.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Builds the model move of `mv`, applying it to `state`.
-    fn model_move<S: Machine>(state: &S, mv: BufferedMove) -> ModelMove<S> {
-        let next = state.apply(&mv);
-        match mv {
-            BufferedMove::Start { thread, .. } => ModelMove {
-                thread,
-                label: MoveLabel::Action(Action::start(ThreadId::new(thread as u32))),
-                next,
-            },
-            BufferedMove::Act { thread, action, .. } => ModelMove {
-                thread,
-                label: MoveLabel::Action(action),
-                next,
-            },
-            BufferedMove::Flush { thread, loc } => ModelMove {
-                thread,
-                label: S::flush_label(loc),
-                next,
-            },
-        }
-    }
-
-    fn moves<S: Machine>(
-        &self,
-        state: &S,
-        opts: &ExploreOptions,
-        truncated: &mut bool,
-    ) -> Vec<ModelMove<S>> {
-        let moves = state.moves(&mut self.table(), opts, truncated);
-        moves
-            .into_iter()
-            .map(|mv| Self::model_move(state, mv))
-            .collect()
-    }
-
-    /// The await collapse is orthogonal to the POR: it applies to the
-    /// behaviour goal even with `por == false` (it is a stutter removal,
-    /// not an ample-set choice), and never to the race goal (a spin read
-    /// can race). The reduction runs on the id-level moves, under one
-    /// lock of the table, so only the surviving moves build a successor
-    /// state.
-    fn reduced_moves<S: Machine>(
-        &self,
-        state: &S,
-        goal: ReductionGoal,
-        opts: &ExploreOptions,
-        truncated: &mut bool,
-    ) -> Reduced<S> {
-        let (moves, kind, await_collapsed, await_wakeups) = {
-            let mut table = self.table();
-            let mut moves = state.moves(&mut table, opts, truncated);
-            let (collapsed, wakeups) = if goal == ReductionGoal::Behaviours && opts.awaits {
-                collapse_awaits_buffered(&mut table, state, &mut moves)
-            } else {
-                (0, 0)
-            };
-            let (moves, kind) = if !opts.por || goal == ReductionGoal::Races {
-                (moves, ExpansionKind::Full)
-            } else {
-                reduce_buffered(&mut table, state, self.threads, moves)
-            };
-            (moves, kind, collapsed, wakeups)
-        };
-        Reduced {
-            moves: moves
-                .into_iter()
-                .map(|mv| Self::model_move(state, mv))
-                .collect(),
-            kind,
-            await_collapsed,
-            await_wakeups,
-        }
-    }
-
-    fn fuel(&self, opts: &ExploreOptions) -> usize {
-        // An await-only program keeps every store outside loops, so
-        // buffers are bounded and the collapsed behaviour graph is
-        // acyclic (see `transafety_lang::program_loops_are_awaits`):
-        // the exploration is exact without an action bound.
-        if !self.loops || (opts.awaits && self.awaits_only) {
-            usize::MAX
-        } else {
-            opts.max_actions
-        }
+/// The reduced moves of `state` for `goal`. The await collapse is
+/// orthogonal to the POR: it applies to the behaviour goal even with
+/// `por == false` (it is a stutter removal, not an ample-set choice),
+/// and never to the race goal (a spin read can race). The reduction
+/// runs on the id-level moves, under one lock of the configuration
+/// table, so only the surviving moves build a successor state.
+fn reduced_buffered_moves<S: Machine>(
+    explorer: &ProgramExplorer<'_>,
+    state: &S,
+    goal: ReductionGoal,
+    opts: &ExploreOptions,
+    truncated: &mut bool,
+) -> Reduced<S> {
+    let mut cfgs = explorer.configs(opts.max_tau);
+    let mut moves = state.moves(&mut cfgs, truncated);
+    let (await_collapsed, await_wakeups) = if goal == ReductionGoal::Behaviours && opts.awaits {
+        cfgs.collapse_awaits(&mut moves, |mv| match *mv {
+            BufferedMove::Act(act) => Some((act, state.threads()[act.thread])),
+            BufferedMove::Flush { .. } => None,
+        })
+    } else {
+        (0, 0)
+    };
+    let (moves, kind) = if !opts.por || goal == ReductionGoal::Races {
+        (moves, ExpansionKind::Full)
+    } else {
+        reduce_buffered(&mut cfgs, state, moves)
+    };
+    drop(cfgs);
+    Reduced {
+        moves: moves.into_iter().map(|mv| model_move(state, mv)).collect(),
+        kind,
+        await_collapsed,
+        await_wakeups,
     }
 }
 
@@ -366,8 +278,9 @@ impl Buffered {
 /// ```
 #[derive(Debug)]
 pub struct TsoModel<'p> {
-    inner: Buffered,
-    program: PhantomData<&'p Program>,
+    /// The program's SC explorer: its configuration table holds every
+    /// thread configuration the machine stores.
+    explorer: ProgramExplorer<'p>,
 }
 
 impl<'p> TsoModel<'p> {
@@ -375,8 +288,7 @@ impl<'p> TsoModel<'p> {
     #[must_use]
     pub fn new(program: &'p Program) -> Self {
         TsoModel {
-            inner: Buffered::new(program),
-            program: PhantomData,
+            explorer: ProgramExplorer::new(program),
         }
     }
 }
@@ -389,7 +301,7 @@ impl MemoryModel for TsoModel<'_> {
     }
 
     fn initial(&self) -> TsoState {
-        TsoState::initial(self.inner.threads)
+        TsoState::initial(self.explorer.program().thread_count())
     }
 
     fn moves(
@@ -398,7 +310,7 @@ impl MemoryModel for TsoModel<'_> {
         opts: &ExploreOptions,
         truncated: &mut bool,
     ) -> Vec<ModelMove<TsoState>> {
-        self.inner.moves(state, opts, truncated)
+        buffered_moves(&self.explorer, state, opts, truncated)
     }
 
     fn reduced_moves(
@@ -408,15 +320,19 @@ impl MemoryModel for TsoModel<'_> {
         opts: &ExploreOptions,
         truncated: &mut bool,
     ) -> Reduced<TsoState> {
-        self.inner.reduced_moves(state, goal, opts, truncated)
+        reduced_buffered_moves(&self.explorer, state, goal, opts, truncated)
     }
 
     fn fuel(&self, opts: &ExploreOptions) -> usize {
-        self.inner.fuel(opts)
+        self.explorer.fuel(opts)
     }
 
     fn lift_sc_witness(&self, witness: ModelRaceWitness) -> ModelRaceWitness {
         lift_sc_witness::<TsoState>(witness)
+    }
+
+    fn explorer(&self) -> &ProgramExplorer<'_> {
+        &self.explorer
     }
 }
 
@@ -427,8 +343,9 @@ impl MemoryModel for TsoModel<'_> {
 /// witness schedule shows which buffer drained at each step.
 #[derive(Debug)]
 pub struct PsoModel<'p> {
-    inner: Buffered,
-    program: PhantomData<&'p Program>,
+    /// The program's SC explorer: its configuration table holds every
+    /// thread configuration the machine stores.
+    explorer: ProgramExplorer<'p>,
 }
 
 impl<'p> PsoModel<'p> {
@@ -436,8 +353,7 @@ impl<'p> PsoModel<'p> {
     #[must_use]
     pub fn new(program: &'p Program) -> Self {
         PsoModel {
-            inner: Buffered::new(program),
-            program: PhantomData,
+            explorer: ProgramExplorer::new(program),
         }
     }
 }
@@ -450,7 +366,7 @@ impl MemoryModel for PsoModel<'_> {
     }
 
     fn initial(&self) -> PsoState {
-        PsoState::initial(self.inner.threads)
+        PsoState::initial(self.explorer.program().thread_count())
     }
 
     fn moves(
@@ -459,7 +375,7 @@ impl MemoryModel for PsoModel<'_> {
         opts: &ExploreOptions,
         truncated: &mut bool,
     ) -> Vec<ModelMove<PsoState>> {
-        self.inner.moves(state, opts, truncated)
+        buffered_moves(&self.explorer, state, opts, truncated)
     }
 
     fn reduced_moves(
@@ -469,15 +385,19 @@ impl MemoryModel for PsoModel<'_> {
         opts: &ExploreOptions,
         truncated: &mut bool,
     ) -> Reduced<PsoState> {
-        self.inner.reduced_moves(state, goal, opts, truncated)
+        reduced_buffered_moves(&self.explorer, state, goal, opts, truncated)
     }
 
     fn fuel(&self, opts: &ExploreOptions) -> usize {
-        self.inner.fuel(opts)
+        self.explorer.fuel(opts)
     }
 
     fn lift_sc_witness(&self, witness: ModelRaceWitness) -> ModelRaceWitness {
         lift_sc_witness::<PsoState>(witness)
+    }
+
+    fn explorer(&self) -> &ProgramExplorer<'_> {
+        &self.explorer
     }
 }
 

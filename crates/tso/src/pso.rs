@@ -13,13 +13,14 @@
 
 use std::collections::BTreeMap;
 
-use transafety_lang::{ExploreOptions, MoveLabel};
+use transafety_lang::{CfgId, MoveLabel, NOT_STARTED};
 use transafety_traces::{Action, Loc, Monitor, Value};
 
-use crate::configs::{apply_act, BufferedMove, CfgId, ConfigTable, Machine, NOT_STARTED};
+use crate::buffered::{apply_act, BufferedMove, Machine};
 
-/// A PSO machine state: per-thread configuration ids (interned by the
-/// [`PsoModel`](crate::PsoModel)), per-thread **per-location** FIFO
+/// A PSO machine state: per-thread configuration ids (of the program's
+/// configuration table, see [`Configs`](transafety_lang::Configs)),
+/// per-thread **per-location** FIFO
 /// store buffers with forwarding, shared memory, and the monitor holder
 /// table. Locks, unlocks and volatile accesses drain all of the
 /// thread's buffers.
@@ -59,17 +60,6 @@ pub struct PsoState {
     holders: BTreeMap<Monitor, usize>,
 }
 
-impl PsoState {
-    fn read_value(&self, k: usize, loc: Loc) -> Value {
-        self.buffers[k]
-            .iter()
-            .rev()
-            .find(|(l, _)| *l == loc)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| self.memory.get(&loc).copied().unwrap_or(Value::ZERO))
-    }
-}
-
 impl Machine for PsoState {
     fn initial(threads: usize) -> Self {
         PsoState {
@@ -80,23 +70,33 @@ impl Machine for PsoState {
         }
     }
 
-    fn cfg(&self, k: usize) -> CfgId {
-        self.threads[k]
+    fn threads(&self) -> &[CfgId] {
+        &self.threads
+    }
+
+    fn holders(&self) -> &BTreeMap<Monitor, usize> {
+        &self.holders
     }
 
     fn has_buffered(&self, k: usize, loc: Loc) -> bool {
         self.buffers[k].iter().any(|(l, _)| *l == loc)
     }
 
-    /// All enabled moves, in deterministic order: every flush of a
-    /// non-empty per-location buffer, then each thread's start or act
-    /// move (fences wait for all of the thread's buffers to drain).
-    fn moves(
-        &self,
-        table: &mut ConfigTable,
-        opts: &ExploreOptions,
-        truncated: &mut bool,
-    ) -> Vec<BufferedMove> {
+    fn drained(&self, k: usize) -> bool {
+        self.buffers[k].is_empty()
+    }
+
+    fn read_value(&self, k: usize, loc: Loc) -> Value {
+        self.buffers[k]
+            .iter()
+            .rev()
+            .find(|(l, _)| *l == loc)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| self.memory.get(&loc).copied().unwrap_or(Value::ZERO))
+    }
+
+    /// The oldest store of every non-empty per-location buffer.
+    fn flushes(&self) -> Vec<BufferedMove> {
         let mut out = Vec::new();
         for (k, buffer) in self.buffers.iter().enumerate() {
             for (i, &(loc, _)) in buffer.iter().enumerate() {
@@ -105,54 +105,29 @@ impl Machine for PsoState {
                 }
             }
         }
-        for (k, &slot) in self.threads.iter().enumerate() {
-            out.extend(table.thread_move(
-                k,
-                slot,
-                opts.max_tau,
-                self.buffers[k].is_empty(),
-                &self.holders,
-                |loc| self.read_value(k, loc),
-                truncated,
-            ));
-        }
         out
     }
 
     fn apply(&self, mv: &BufferedMove) -> PsoState {
         let mut next = self.clone();
-        match *mv {
-            BufferedMove::Start { thread, cfg } => next.threads[thread] = cfg,
+        match mv {
             BufferedMove::Flush { thread, loc } => {
-                let buffer = &mut next.buffers[thread];
-                if let Some(i) = buffer.iter().position(|(l, _)| *l == loc) {
+                let buffer = &mut next.buffers[*thread];
+                if let Some(i) = buffer.iter().position(|(l, _)| l == loc) {
                     let (_, v) = buffer.remove(i);
-                    next.memory.insert(loc, v);
+                    next.memory.insert(*loc, v);
                 }
             }
-            BufferedMove::Act {
-                thread,
-                action,
-                next: cfg,
-                releases,
-            } => {
-                if let Action::Write { loc, value } = action {
+            BufferedMove::Act(act) => {
+                if let Action::Write { loc, value } = act.action {
                     if !loc.is_volatile() {
                         // Behind the youngest store to the same location.
-                        let buffer = &mut next.buffers[thread];
+                        let buffer = &mut next.buffers[act.thread];
                         let at = buffer.partition_point(|(l, _)| *l <= loc);
                         buffer.insert(at, (loc, value));
                     }
                 }
-                apply_act(
-                    &mut next.threads,
-                    &mut next.memory,
-                    &mut next.holders,
-                    thread,
-                    action,
-                    cfg,
-                    releases,
-                );
+                apply_act(&mut next.threads, &mut next.memory, &mut next.holders, act);
             }
         }
         next
@@ -168,7 +143,7 @@ mod tests {
     use super::*;
     use crate::{explain, Explanation, PsoModel, TsoModel};
     use transafety_interleaving::{Behaviours, BudgetGuard};
-    use transafety_lang::{parse_program, ModelExplorer, Program};
+    use transafety_lang::{parse_program, ExploreOptions, ModelExplorer, Program};
 
     fn v(n: u32) -> Value {
         Value::new(n)
@@ -188,7 +163,6 @@ mod tests {
         let pso = PsoModel::new(p);
         explain(
             &ModelExplorer::new(&pso),
-            p,
             depth,
             opts,
             &BudgetGuard::unlimited(),

@@ -8,19 +8,21 @@
 //! points must answer as `run` does, and `Analysis::explain` as the
 //! per-model §8 checks it replaced. Under TSO and PSO the race phase is
 //! the SC search with a lifted witness, pinned here against the
-//! buffered race search it replaced.
+//! buffered race search it replaced. Every model steps its threads
+//! through its program explorer's one configuration table, so one model
+//! serving every phase of an analysis must answer as fresh models do.
 
 mod support;
 
 use support::{capped_budget, configs, seeds, JOBS};
 use transafety::checker::Analysis;
-use transafety::interleaving::{Behaviours, BudgetGuard, Event, ExploreStats};
+use transafety::interleaving::{Behaviours, BudgetGuard, Event, ExploreMetrics, ExploreStats};
 use transafety::lang::{
     ExploreOptions, MemoryModel, ModelExplorer, ModelRaceWitness, Program, ProgramExplorer, ScModel,
 };
 use transafety::litmus::{corpus, random_program, GeneratorConfig};
 use transafety::traces::{MemoryModelKind, ThreadId};
-use transafety::tso::{PsoModel, TsoModel};
+use transafety::tso::{explain, PsoModel, TsoModel};
 use transafety::{AnalysisReport, Budget, CancelToken, CensusReport};
 
 /// Everything in the report except the wall-clock time must coincide.
@@ -410,4 +412,97 @@ fn sc_first_race_phase_matches_the_buffered_search() {
         racy * 4 >= cases && racy * 4 <= cases * 3,
         "{racy} of {cases} racy"
     );
+}
+
+/// The [`counters`] of a phase that may run on a configuration table an
+/// earlier phase filled, without the interner's collision count: states
+/// hash their threads' cfg ids, which a shared table numbers in the order
+/// the phases first meet each configuration, so which probes collide
+/// depends on that numbering. Every count of states, moves, probes and
+/// hits is a function of the state graph alone and is kept.
+fn shared_counters(stats: &ExploreStats) -> ExploreStats {
+    ExploreStats {
+        intern_collisions: 0,
+        ..counters(stats)
+    }
+}
+
+/// Runs `phase` on its own metrics guard under `analysis`'s budget, and
+/// returns its output with its [`shared_counters`].
+fn governed<T>(analysis: &Analysis, phase: impl FnOnce(&BudgetGuard) -> T) -> (T, ExploreStats) {
+    let collector = ExploreMetrics::collector();
+    let guard = BudgetGuard::with_metrics(&analysis.budget, CancelToken::new(), collector.clone());
+    let output = phase(&guard);
+    (output, shared_counters(&collector.snapshot()))
+}
+
+/// One model serves behaviours, races, explain and census in sequence,
+/// as one analysis would, and each phase must answer, and count, as the
+/// same phase of `Analysis` on a fresh model does. The phases share the
+/// model's configuration table, so a phase that saw ids interned by an
+/// earlier one, or a table rebuilt under it, would show here.
+fn assert_shared_model_matches_fresh<M: MemoryModel>(model: &M, program: &Program, what: &str) {
+    let analysis = Analysis::new().model(model.kind()).metrics(true);
+    let opts = &analysis.explore;
+    let mx = ModelExplorer::new(model);
+
+    let (behaviours, stats) = governed(&analysis, |g| mx.behaviours_governed(opts, g));
+    let fresh = analysis.behaviours(program);
+    assert_eq!(behaviours, fresh.output, "{what}: behaviours");
+    assert_eq!(
+        stats,
+        shared_counters(&fresh.stats),
+        "{what}: behaviour counters"
+    );
+
+    let (race, stats) = governed(&analysis, |g| {
+        let sc = ScModel::new(model.explorer());
+        let witness = ModelExplorer::new(&sc).race_witness_governed(opts, g)?;
+        Some(model.lift_sc_witness(witness))
+    });
+    let fresh = analysis.races(program);
+    assert_eq!(race, fresh.output, "{what}: race witness");
+    assert_eq!(
+        stats,
+        shared_counters(&fresh.stats),
+        "{what}: race counters"
+    );
+
+    let (explanation, stats) = governed(&analysis, |g| explain(&mx, 3, opts, g));
+    let fresh = analysis.explain(program, 3);
+    assert_eq!(explanation, fresh.output, "{what}: explanation");
+    assert_eq!(
+        stats,
+        shared_counters(&fresh.stats),
+        "{what}: explain counters"
+    );
+
+    let (census, stats) = governed(&analysis, |g| mx.count_reachable_states_governed(opts, g));
+    let fresh = analysis.census(program);
+    assert_eq!(census, fresh.output, "{what}: census");
+    assert_eq!(
+        stats,
+        shared_counters(&fresh.stats),
+        "{what}: census counters"
+    );
+}
+
+#[test]
+fn one_model_serves_every_phase_as_fresh_models_do() {
+    for litmus in corpus() {
+        let program = litmus.parse().program;
+        let name = litmus.name;
+        let ex = ProgramExplorer::new(&program);
+        assert_shared_model_matches_fresh(&ScModel::new(&ex), &program, &format!("{name} sc"));
+        assert_shared_model_matches_fresh(
+            &TsoModel::new(&program),
+            &program,
+            &format!("{name} tso"),
+        );
+        assert_shared_model_matches_fresh(
+            &PsoModel::new(&program),
+            &program,
+            &format!("{name} pso"),
+        );
+    }
 }
