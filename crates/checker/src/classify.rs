@@ -3,15 +3,12 @@
 
 use std::fmt;
 
-use transafety_lang::{extract_traceset, Program};
+use transafety_lang::Program;
 use transafety_traces::{MemoryModelKind, Trace};
-use transafety_transform::{find_elimination, EliminationKind};
+use transafety_transform::{is_elim_reordering_of, EliminationKind, EliminationWitness};
 
-use crate::correspondence::{
-    check_elimination_correspondence, check_identity_correspondence,
-    check_reordering_correspondence, Correspondence, SemanticClass,
-};
-use crate::guarantee::{behaviour_refinement, Refinement};
+use crate::correspondence::{elimination_witnesses, traceset_pair};
+use crate::guarantee::{sc_refinement, Refinement};
 use crate::Analysis;
 
 /// The verdict of [`classify_transformation`].
@@ -96,30 +93,37 @@ pub fn classify_transformation(
     original: &Program,
     opts: &Analysis,
 ) -> TransformationClass {
-    match check_identity_correspondence(transformed, original, opts) {
-        Correspondence::Verified {
-            class: SemanticClass::Identity,
-        } => return TransformationClass::Identity,
-        Correspondence::Inconclusive => return TransformationClass::Inconclusive,
-        _ => {}
-    }
-    match check_elimination_correspondence(transformed, original, opts) {
-        Correspondence::Verified { .. } => return TransformationClass::Elimination,
-        Correspondence::Inconclusive => return TransformationClass::Inconclusive,
-        Correspondence::Failed { .. } => {}
-    }
-    let witness = match check_reordering_correspondence(transformed, original, opts) {
-        Correspondence::Verified { .. } => return TransformationClass::EliminationThenReordering,
-        Correspondence::Inconclusive => return TransformationClass::Inconclusive,
-        Correspondence::Failed { trace } => trace,
+    classify_with_witnesses(transformed, original, opts).0
+}
+
+/// [`classify_transformation`] on one extraction of the pair, with the
+/// elimination witnesses (one per transformed trace) when the class is
+/// [`Elimination`](TransformationClass::Elimination).
+fn classify_with_witnesses(
+    transformed: &Program,
+    original: &Program,
+    opts: &Analysis,
+) -> (TransformationClass, Vec<EliminationWitness>) {
+    let Some((t, o)) = traceset_pair(transformed, original, opts) else {
+        return (TransformationClass::Inconclusive, Vec::new());
     };
-    match behaviour_refinement(transformed, original, opts) {
-        Refinement::Refines => TransformationClass::ScRefiningOnly,
-        Refinement::NewBehaviour(_) => TransformationClass::Unsafe {
-            witness_trace: Some(witness),
-        },
-        Refinement::Inconclusive => TransformationClass::Inconclusive,
+    if t == o {
+        return (TransformationClass::Identity, Vec::new());
     }
+    if let Ok(witnesses) = elimination_witnesses(&t, &o, opts) {
+        return (TransformationClass::Elimination, witnesses);
+    }
+    let class = match is_elim_reordering_of(&t, &o, &opts.domain, &opts.elimination) {
+        Ok(()) => TransformationClass::EliminationThenReordering,
+        Err(e) => match sc_refinement(transformed, original, opts) {
+            Refinement::Refines => TransformationClass::ScRefiningOnly,
+            Refinement::NewBehaviour(_) => TransformationClass::Unsafe {
+                witness_trace: Some(e.trace),
+            },
+            Refinement::Inconclusive => TransformationClass::Inconclusive,
+        },
+    };
+    (class, Vec::new())
 }
 
 /// The model-safety refinement of a [`TransformationClass`] verdict:
@@ -174,9 +178,9 @@ impl fmt::Display for ModelClassification {
 ///
 /// * Identity (trace-preserving) transformations are safe under every
 ///   model — they are in every §8 fragment by construction.
-/// * Eliminations are re-witnessed per transformed trace and each
-///   eliminated position must be justified by a kind whose proof
-///   extends to the model
+/// * Eliminations reuse the classification's witnesses, one per
+///   transformed trace, and each eliminated position must be justified
+///   by a kind whose proof extends to the model
 ///   ([`EliminationKind::safe_under`]); otherwise the uncovered kinds
 ///   are reported in
 ///   [`flagged_kinds`](ModelClassification::flagged_kinds).
@@ -214,14 +218,12 @@ pub fn classify_transformation_under(
     original: &Program,
     opts: &Analysis,
 ) -> ModelClassification {
-    let class = classify_transformation(transformed, original, opts);
+    let (class, witnesses) = classify_with_witnesses(transformed, original, opts);
     let (safe_under_model, flagged_kinds) = match (&class, opts.model) {
         // Under SC the classification *is* the safety verdict.
         (c, MemoryModelKind::Sc) => (c.is_paper_safe(), Vec::new()),
         (TransformationClass::Identity, _) => (true, Vec::new()),
-        (TransformationClass::Elimination, model) => {
-            elimination_kinds_uncovered(transformed, original, opts, model)
-        }
+        (TransformationClass::Elimination, model) => elimination_kinds_uncovered(&witnesses, model),
         (TransformationClass::EliminationThenReordering, _) => (false, Vec::new()),
         _ => (false, Vec::new()),
     };
@@ -233,46 +235,27 @@ pub fn classify_transformation_under(
     }
 }
 
-/// Re-runs the elimination witness search per transformed trace and
-/// collects the kinds of eliminated positions not covered by any
-/// model-safe kind. Returns `(all positions covered, uncovered kinds)`.
+/// Collects the kinds of the classification's eliminated positions not
+/// covered by any model-safe kind. Returns `(all positions covered,
+/// uncovered kinds)`.
 fn elimination_kinds_uncovered(
-    transformed: &Program,
-    original: &Program,
-    opts: &Analysis,
+    witnesses: &[EliminationWitness],
     model: MemoryModelKind,
 ) -> (bool, Vec<EliminationKind>) {
-    let t = extract_traceset(transformed, &opts.domain, &opts.extract);
-    let o = extract_traceset(original, &opts.domain, &opts.extract);
-    if t.truncated || o.truncated {
-        return (false, Vec::new());
-    }
     let mut flagged: Vec<EliminationKind> = Vec::new();
     let mut covered = true;
-    for trace in t.traceset.traces() {
-        let Some(w) = find_elimination(&trace, &o.traceset, &opts.domain, &opts.elimination) else {
-            // The classification already established elimination-hood;
-            // a vanished witness means bounds interfered — stay
-            // conservative.
-            return (false, Vec::new());
-        };
-        for (_, kinds) in &w.eliminated {
-            if kinds.iter().any(|k| k.safe_under(model)) {
-                continue;
-            }
-            covered = false;
-            for k in kinds {
-                if !flagged.contains(k) {
-                    flagged.push(*k);
-                }
+    for (_, kinds) in witnesses.iter().flat_map(|w| &w.eliminated) {
+        if kinds.iter().any(|k| k.safe_under(model)) {
+            continue;
+        }
+        covered = false;
+        for k in kinds {
+            if !flagged.contains(k) {
+                flagged.push(*k);
             }
         }
     }
-    if covered {
-        (true, Vec::new())
-    } else {
-        (false, flagged)
-    }
+    (covered, flagged)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::fmt;
 use transafety_lang::{extract_traceset, Program};
 use transafety_syntactic::{Rewrite, RuleName};
 use transafety_traces::{Trace, Traceset};
-use transafety_transform::{is_elim_reordering_of, is_elimination_of};
+use transafety_transform::{find_elimination, is_elim_reordering_of, EliminationWitness};
 
 use crate::Analysis;
 
@@ -65,7 +65,7 @@ fn traceset_of(p: &Program, opts: &Analysis) -> Option<Traceset> {
 
 /// Extracts `[transformed]` and `[original]`, on two workers when the
 /// configuration allows it.
-fn traceset_pair(
+pub(crate) fn traceset_pair(
     transformed: &Program,
     original: &Program,
     opts: &Analysis,
@@ -91,12 +91,24 @@ pub fn check_elimination_correspondence(
     let Some((t, o)) = traceset_pair(transformed, original, opts) else {
         return Correspondence::Inconclusive;
     };
-    match is_elimination_of(&t, &o, &opts.domain, &opts.elimination) {
-        Ok(()) => Correspondence::Verified {
+    match elimination_witnesses(&t, &o, opts) {
+        Ok(_) => Correspondence::Verified {
             class: SemanticClass::Elimination,
         },
-        Err(e) => Correspondence::Failed { trace: e.trace },
+        Err(trace) => Correspondence::Failed { trace },
     }
+}
+
+/// An elimination witness for every trace of `t` against `o` (Lemma 4
+/// holds for the pair), or the first trace without one.
+pub(crate) fn elimination_witnesses(
+    t: &Traceset,
+    o: &Traceset,
+    opts: &Analysis,
+) -> Result<Vec<EliminationWitness>, Trace> {
+    t.traces()
+        .map(|trace| find_elimination(&trace, o, &opts.domain, &opts.elimination).ok_or(trace))
+        .collect()
 }
 
 /// Checks Lemma 5 for a concrete pair: `[transformed]` is a reordering

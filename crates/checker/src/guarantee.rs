@@ -3,9 +3,9 @@
 
 use std::fmt;
 
-use transafety_interleaving::RaceWitness;
-use transafety_lang::{Program, ProgramExplorer};
-use transafety_traces::Value;
+use transafety_interleaving::{Behaviours, RaceWitness};
+use transafety_lang::{Bounded, Program, ProgramExplorer};
+use transafety_traces::{MemoryModelKind, Value};
 
 use crate::Analysis;
 
@@ -54,36 +54,37 @@ impl fmt::Display for Refinement {
     }
 }
 
+impl Refinement {
+    /// The one refinement rule, over two bounded behaviour sets.
+    /// Behaviour sets are prefix-closed and every behaviour a truncated
+    /// exploration reached is real, so a transformed behaviour missing
+    /// from a *complete* original set is a new behaviour whatever the
+    /// transformed side's completeness. [`Refines`](Refinement::Refines)
+    /// needs both sets complete.
+    #[must_use]
+    pub fn compare(transformed: &Bounded<Behaviours>, original: &Bounded<Behaviours>) -> Self {
+        match transformed.value.difference(&original.value).next() {
+            Some(extra) if original.complete => Refinement::NewBehaviour(extra.clone()),
+            None if original.complete && transformed.complete => Refinement::Refines,
+            _ => Refinement::Inconclusive,
+        }
+    }
+}
+
 /// Does `transformed` behaviour-refine `original` (every behaviour of the
-/// transformed program is one of the original's)? This is the conclusion
-/// of Theorems 1–4 for DRF originals.
+/// transformed program is one of the original's) under `opts.model`?
+/// This is the conclusion of Theorems 1–4 for DRF originals; each side
+/// runs [`Analysis::behaviours`] and [`Refinement::compare`] decides.
 #[must_use]
 pub fn behaviour_refinement(
     transformed: &Program,
     original: &Program,
     opts: &Analysis,
 ) -> Refinement {
-    behaviour_refinement_on(
-        &ProgramExplorer::new(transformed),
-        &ProgramExplorer::new(original),
-        opts,
+    Refinement::compare(
+        &opts.behaviours(transformed).output,
+        &opts.behaviours(original).output,
     )
-}
-
-fn behaviour_refinement_on(
-    ex_t: &ProgramExplorer<'_>,
-    ex_o: &ProgramExplorer<'_>,
-    opts: &Analysis,
-) -> Refinement {
-    let bt = ex_t.behaviours(&opts.explore);
-    let bo = ex_o.behaviours(&opts.explore);
-    if !bt.complete || !bo.complete {
-        return Refinement::Inconclusive;
-    }
-    match bt.value.difference(&bo.value).next() {
-        None => Refinement::Refines,
-        Some(extra) => Refinement::NewBehaviour(extra.clone()),
-    }
 }
 
 /// The verdict of the full DRF-guarantee check for a transformation
@@ -133,37 +134,34 @@ impl fmt::Display for DrfVerdict {
 
 /// Checks the DRF guarantee for one transformation instance: if the
 /// original is data race free then the transformed program must refine
-/// its behaviours and stay data race free (Theorems 1–4).
+/// its behaviours and stay data race free (Theorems 1–4). The verdict of
+/// [`Analysis::guarantee`].
 #[must_use]
 pub fn drf_guarantee(transformed: &Program, original: &Program, opts: &Analysis) -> DrfVerdict {
-    // One explorer per program for the whole check: the race search and
-    // the behaviour computation share the interned configuration space.
-    let ex_t = ProgramExplorer::new(transformed);
-    let ex_o = ProgramExplorer::new(original);
-    if let Some(w) = ex_o.race_witness(&opts.explore) {
-        return DrfVerdict::OriginalRacy(Box::new(w));
-    }
-    match behaviour_refinement_on(&ex_t, &ex_o, opts) {
-        Refinement::Inconclusive => return DrfVerdict::Inconclusive,
-        Refinement::NewBehaviour(b) => return DrfVerdict::NewBehaviour(b),
-        Refinement::Refines => {}
-    }
-    match ex_t.race_witness(&opts.explore) {
-        Some(w) => DrfVerdict::RaceIntroduced(Box::new(w)),
-        None => DrfVerdict::Holds,
-    }
+    opts.guarantee(transformed, original).output
 }
 
 /// The *SC-only baseline* (`DESIGN.md` §2): a compiler that refuses any
 /// transformation observably changing sequentially consistent behaviour
 /// of the given program, racy or not. The paper's point (§1, §7) is that
 /// this baseline must reject common optimisations that the DRF contract
-/// accepts.
+/// accepts. It compares SC behaviours whatever `opts.model` says.
 #[must_use]
 pub fn sc_only_accepts(transformed: &Program, original: &Program, opts: &Analysis) -> bool {
-    matches!(
-        behaviour_refinement(transformed, original, opts),
-        Refinement::Refines
+    sc_refinement(transformed, original, opts) == Refinement::Refines
+}
+
+/// [`behaviour_refinement`] under SC whatever `opts.model` says: the
+/// SC-only baseline and `ScRefiningOnly` are SC notions.
+pub(crate) fn sc_refinement(
+    transformed: &Program,
+    original: &Program,
+    opts: &Analysis,
+) -> Refinement {
+    behaviour_refinement(
+        transformed,
+        original,
+        &opts.clone().model(MemoryModelKind::Sc),
     )
 }
 
@@ -223,6 +221,35 @@ mod tests {
         let transformed = p("x := 1; || r9 := x; print 1;");
         let verdict = drf_guarantee(&transformed, &original, &Analysis::default());
         assert!(matches!(verdict, DrfVerdict::RaceIntroduced(_)));
+    }
+
+    #[test]
+    fn refinement_rule_over_completeness_and_subset() {
+        let set = |outputs: &[u32], complete| Bounded {
+            value: outputs.iter().map(|&v| vec![Value::new(v)]).collect(),
+            complete,
+        };
+        let new = Refinement::NewBehaviour(vec![Value::new(2)]);
+        // (transformed complete, original complete, transformed ⊆ original)
+        for (t_complete, o_complete, subset, expected) in [
+            (true, true, true, Refinement::Refines),
+            (true, true, false, new.clone()),
+            (false, true, true, Refinement::Inconclusive),
+            (false, true, false, new),
+            (true, false, true, Refinement::Inconclusive),
+            (true, false, false, Refinement::Inconclusive),
+            (false, false, true, Refinement::Inconclusive),
+            (false, false, false, Refinement::Inconclusive),
+        ] {
+            let transformed = set(if subset { &[1] } else { &[1, 2] }, t_complete);
+            let original = set(&[1, 3], o_complete);
+            assert_eq!(
+                Refinement::compare(&transformed, &original),
+                expected,
+                "transformed complete {t_complete}, original complete {o_complete}, \
+                 subset {subset}"
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,8 @@ use transafety_traces::{Domain, MemoryModelKind};
 use transafety_transform::EliminationOptions;
 use transafety_tso::{explain, Explanation, PsoModel, TsoModel};
 
+use crate::{DrfVerdict, Refinement};
+
 /// Bounds, domains and parallelism used by every checker entry point.
 ///
 /// Build one fluently and either pass it to the theorem checkers
@@ -268,7 +270,9 @@ impl Analysis {
     /// batch service, the fuzz driver) wrap the call in `catch_unwind`.
     #[must_use]
     pub fn run_with_cancel(&self, program: &Program, cancel: CancelToken) -> AnalysisReport {
-        let report = self.governed(program, cancel, VerdictPhases(&self.explore));
+        let report = self.governed(cancel, |guard| {
+            with_model(program, self.model, VerdictPhases(&self.explore), guard)
+        });
         let (behaviours, witness) = report.output;
         let (race, race_schedule) = witness.map(|w| (w.witness, w.schedule)).unzip();
         let verdict = if race.is_some() {
@@ -310,7 +314,9 @@ impl Analysis {
         program: &Program,
         cancel: CancelToken,
     ) -> PhaseReport<Bounded<Behaviours>> {
-        self.governed(program, cancel, BehaviourPhase(&self.explore))
+        self.governed(cancel, |guard| {
+            with_model(program, self.model, BehaviourPhase(&self.explore), guard)
+        })
     }
 
     /// The race phase of [`run`](Analysis::run) on its own: a race
@@ -331,7 +337,9 @@ impl Analysis {
         program: &Program,
         cancel: CancelToken,
     ) -> PhaseReport<Option<ModelRaceWitness>> {
-        self.governed(program, cancel, RacePhase(&self.explore))
+        self.governed(cancel, |guard| {
+            with_model(program, self.model, RacePhase(&self.explore), guard)
+        })
     }
 
     /// Counts the distinct reachable model states (under TSO/PSO buffer
@@ -351,7 +359,9 @@ impl Analysis {
     /// count is a lower bound and says which bound stopped it.
     #[must_use]
     pub fn census_with_cancel(&self, program: &Program, cancel: CancelToken) -> CensusReport {
-        self.governed(program, cancel, Census(&self.explore))
+        self.governed(cancel, |guard| {
+            with_model(program, self.model, Census(&self.explore), guard)
+        })
     }
 
     /// The §8 check under the configured model: is every behaviour of
@@ -373,25 +383,65 @@ impl Analysis {
         depth: usize,
         cancel: CancelToken,
     ) -> PhaseReport<Explanation> {
-        self.governed(program, cancel, Explain(&self.explore, depth))
+        self.governed(cancel, |guard| {
+            with_model(program, self.model, Explain(&self.explore, depth), guard)
+        })
     }
 
-    /// Runs one task on the configured model's backend under a fresh
-    /// budget governor (with a live metrics collector exactly when
-    /// [`metrics`](Analysis::metrics) is on) and reports how far it got.
-    fn governed<T: ModelTask>(
+    /// The DRF guarantee (Theorems 1–4) for `original ⇒ transformed`
+    /// under the configured model: if the original is data race free,
+    /// the transformed program may add no behaviour and must stay data
+    /// race free. Both programs run under one budget governor: the
+    /// original's race search (a witness ends the check,
+    /// [`OriginalRacy`](DrfVerdict::OriginalRacy)) and behaviours, then
+    /// the transformed program's behaviours, compared by
+    /// [`Refinement::compare`], and its race search.
+    ///
+    /// A verdict is only as strong as the searches behind it: freedom
+    /// from races needs a completed search, and a refinement verdict
+    /// follows [`Refinement::compare`]; anything weaker is
+    /// [`Inconclusive`](DrfVerdict::Inconclusive).
+    #[must_use]
+    pub fn guarantee(&self, transformed: &Program, original: &Program) -> PhaseReport<DrfVerdict> {
+        self.guarantee_with_cancel(transformed, original, CancelToken::new())
+    }
+
+    /// [`guarantee`](Analysis::guarantee) with an externally held
+    /// [`CancelToken`], as in [`run_with_cancel`](Analysis::run_with_cancel).
+    #[must_use]
+    pub fn guarantee_with_cancel(
         &self,
-        program: &Program,
+        transformed: &Program,
+        original: &Program,
         cancel: CancelToken,
-        task: T,
-    ) -> PhaseReport<T::Output> {
+    ) -> PhaseReport<DrfVerdict> {
+        self.governed(cancel, |guard| {
+            match with_model(original, self.model, OriginalPhases(&self.explore), guard) {
+                Ok(behaviours) => {
+                    let task = TransformedPhases(&self.explore, &behaviours);
+                    with_model(transformed, self.model, task, guard)
+                }
+                Err(verdict) => verdict,
+            }
+        })
+    }
+
+    /// Runs `work` under a fresh budget governor (with a live metrics
+    /// collector exactly when [`metrics`](Analysis::metrics) is on) and
+    /// reports how far it got. The work runs its tasks through
+    /// [`with_model`], one program at a time, all on the one guard.
+    fn governed<T>(
+        &self,
+        cancel: CancelToken,
+        work: impl FnOnce(&BudgetGuard) -> T,
+    ) -> PhaseReport<T> {
         let collector = if self.metrics {
             ExploreMetrics::collector()
         } else {
             ExploreMetrics::disabled()
         };
         let guard = BudgetGuard::with_metrics(&self.budget, cancel, collector.clone());
-        let output = with_model(program, self.model, task, &guard);
+        let output = work(&guard);
         let mut stats = collector.snapshot();
         if stats.enabled {
             // Stamp the backend onto a *live* collector only: a
@@ -496,6 +546,46 @@ fn race_phase<M: MemoryModel>(
     let sc = ScModel::new(mx.model().explorer());
     let witness = ModelExplorer::new(&sc).race_witness_governed(opts, guard)?;
     Some(mx.model().lift_sc_witness(witness))
+}
+
+/// The original side of a guarantee check: the race search, then the
+/// behaviours of a program it proved race free. `Err` is the verdict
+/// when the search found a race or was cut short.
+struct OriginalPhases<'a>(&'a ExploreOptions);
+
+impl ModelTask for OriginalPhases<'_> {
+    type Output = Result<Bounded<Behaviours>, DrfVerdict>;
+
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
+        if let Some(w) = race_phase(mx, self.0, guard) {
+            return Err(DrfVerdict::OriginalRacy(Box::new(w.witness)));
+        }
+        if guard.trip_reason().is_some() {
+            return Err(DrfVerdict::Inconclusive);
+        }
+        Ok(mx.behaviours_governed(self.0, guard))
+    }
+}
+
+/// The transformed side of a guarantee check against the original's
+/// behaviours: refinement, then (if it refines) the race search.
+struct TransformedPhases<'a>(&'a ExploreOptions, &'a Bounded<Behaviours>);
+
+impl ModelTask for TransformedPhases<'_> {
+    type Output = DrfVerdict;
+
+    fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> DrfVerdict {
+        let TransformedPhases(explore, original) = self;
+        match Refinement::compare(&mx.behaviours_governed(explore, guard), original) {
+            Refinement::NewBehaviour(b) => DrfVerdict::NewBehaviour(b),
+            Refinement::Inconclusive => DrfVerdict::Inconclusive,
+            Refinement::Refines => match race_phase(mx, explore, guard) {
+                Some(w) => DrfVerdict::RaceIntroduced(Box::new(w.witness)),
+                None if guard.trip_reason().is_none() => DrfVerdict::Holds,
+                None => DrfVerdict::Inconclusive,
+            },
+        }
+    }
 }
 
 /// The unreduced reachable-state census.

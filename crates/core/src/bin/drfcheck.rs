@@ -24,24 +24,29 @@
 //! and `guarantee` run the sequential engine at every `N`.
 //!
 //! `--model sc|tso|pso` selects the memory model the analysis commands
-//! (`check`, `states`, `races`, `behaviours`, `dot`) explore under: the
-//! sequentially consistent baseline (default) or the store-buffering
-//! machines of §8. `tso` and `pso` always run under their own model.
-//! `executions`, `guarantee`, `classify`, `correspondence`, `rewrites`
-//! and `oota` answer under SC only and refuse `--model tso|pso` with a
-//! usage error (exit 2).
+//! (`check`, `states`, `races`, `behaviours`, `dot`, `guarantee`,
+//! `rewrites`) explore under: the sequentially consistent baseline
+//! (default) or the store-buffering machines of §8. `tso` and `pso`
+//! always run under their own model. `executions`, `classify`,
+//! `correspondence` and `oota` answer under SC only and refuse `--model
+//! tso|pso` with a usage error (exit 2).
 //!
 //! The analysis commands (`check`, `states`, `races`, `behaviours`,
-//! `dot`, `tso`, `pso`, `executions`) run under a resource budget:
-//! `--timeout SECS` bounds wall-clock time, `--max-states N` caps
-//! explored states, `--max-interleavings N` caps execution enumeration,
-//! and `Ctrl-C` cancels cooperatively. Exceeding any bound never loses the work done
+//! `dot`, `tso`, `pso`, `executions`, `guarantee`, `rewrites`) run under
+//! a resource budget: `--timeout SECS` bounds wall-clock time,
+//! `--max-states N` caps explored states, `--max-interleavings N` caps
+//! execution enumeration, and `Ctrl-C` cancels cooperatively.
+//! `rewrites` gives each rewrite's check the whole budget and stops at
+//! the first check that exceeds it. Exceeding any bound never loses the work done
 //! so far — the partial result is flushed, the truncation reason (which
 //! bound tripped, how many states were explored, elapsed time) goes to
 //! stderr, and the exit code says what happened: `3` for a cap, `4` for
 //! timeout or interruption. `tso` and `pso` also exit `3` when only the
 //! per-execution action bound cut an exploration short, and say so on
 //! stdout: their verdict then compares bounded behaviour sets.
+//! `classify`, `correspondence` and `oota` extract tracesets without a
+//! budget or metrics, so they refuse `--timeout`, `--max-states`,
+//! `--stats` and `--trace-out` with a usage error (exit 2).
 //!
 //! Program files use the concrete syntax of the paper's §6 language (see
 //! `transafety::lang::parse_program`); a corpus name (e.g. `sb`) can be
@@ -53,7 +58,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use transafety::checker::{
-    classify_transformation, drf_guarantee, no_thin_air, Analysis, OotaVerdict, TransformationClass,
+    classify_transformation, no_thin_air, Analysis, OotaVerdict, TransformationClass,
 };
 use transafety::interleaving::{BudgetGuard, ExploreMetrics, ExploreStats};
 use transafety::lang::{parse_program_with_symbols, ScheduleStep, SourceProgram};
@@ -195,16 +200,18 @@ fn usage() -> ExitCode {
            fuzz [fuzz flags]                    differential refinement fuzzing: random\n                                       \
                                                 (program × pipeline) pairs, shrink on failure\n\
          flags:\n  \
-           --model sc|tso|pso     memory model for check/states/races/behaviours/dot (default: sc;\n                         \
-                                  tso/pso explore the §8 store-buffer machines; a program\n                         \
-                                  races there iff it races under SC, so their race search\n                         \
-                                  is the SC one, its witness flushing each store at once);\n                         \
-                                  executions/guarantee/classify/correspondence/rewrites/oota\n                         \
+           --model sc|tso|pso     memory model for check/states/races/behaviours/dot/guarantee/\n                         \
+                                  rewrites (default: sc; tso/pso explore the §8 store-buffer\n                         \
+                                  machines; a program races there iff it races under SC, so\n                         \
+                                  their race search is the SC one, its witness flushing each\n                         \
+                                  store at once); executions/classify/correspondence/oota\n                         \
                                   run under SC only and refuse tso/pso\n  \
            --jobs N               worker threads for fuzz, classify and oota (default: all\n                         \
                                   cores); check/states/races/behaviours/guarantee explore\n                         \
                                   sequentially at every N\n  \
-           --timeout SECS         wall-clock budget for the analysis commands\n  \
+           --timeout SECS         wall-clock budget for the analysis commands (rewrites: per\n                         \
+                                  rewrite; classify/correspondence/oota refuse it, and\n                         \
+                                  --max-states, --stats and --trace-out too)\n  \
            --max-states N         cap on explored states (approximate memory budget)\n  \
            --max-interleavings N  cap on enumerated executions\n  \
            --no-por               disable the partial-order reduction (full exploration)\n  \
@@ -358,6 +365,42 @@ fn hard_phase_exit<T>(report: &PhaseReport<T>) -> Option<ExitCode> {
         } => None,
         _ => phase_exit(report),
     }
+}
+
+/// Adds one run's counters, phase times and events into `total`, so the
+/// stats of a command that runs several analyses cover them all. Each
+/// run's event times count from that run's own start.
+fn add_stats(total: &mut ExploreStats, run: &ExploreStats) {
+    for (sum, n) in [
+        (&mut total.states_visited, run.states_visited),
+        (&mut total.states_interned, run.states_interned),
+        (&mut total.states_deduped, run.states_deduped),
+        (&mut total.moves_generated, run.moves_generated),
+        (&mut total.por_ample_hits, run.por_ample_hits),
+        (&mut total.por_full_expansions, run.por_full_expansions),
+        (&mut total.intern_probes, run.intern_probes),
+        (&mut total.intern_hits, run.intern_hits),
+        (&mut total.intern_collisions, run.intern_collisions),
+        (&mut total.intern_keys, run.intern_keys),
+        (&mut total.intern_slots, run.intern_slots),
+        (&mut total.trip_wall_clock, run.trip_wall_clock),
+        (&mut total.trip_states, run.trip_states),
+        (&mut total.trip_cancelled, run.trip_cancelled),
+        (&mut total.trip_interleavings, run.trip_interleavings),
+        (&mut total.trip_actions, run.trip_actions),
+        (&mut total.dpor_proviso_blocks, run.dpor_proviso_blocks),
+        (&mut total.dpor_flush_ample_hits, run.dpor_flush_ample_hits),
+        (&mut total.dpor_prev_carries, run.dpor_prev_carries),
+        (&mut total.await_collapsed, run.await_collapsed),
+        (&mut total.await_wakeups, run.await_wakeups),
+        (&mut total.behaviour_eval_nanos, run.behaviour_eval_nanos),
+        (&mut total.race_search_nanos, run.race_search_nanos),
+        (&mut total.census_nanos, run.census_nanos),
+        (&mut total.events_dropped, run.events_dropped),
+    ] {
+        *sum += n;
+    }
+    total.events.extend_from_slice(&run.events);
 }
 
 /// Prints the full per-model schedule to the race when it contains
@@ -750,16 +793,14 @@ fn fuzz_cmd(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<Exit
 }
 
 /// The commands that answer under SC only: they enumerate §3
-/// executions or compare SC behaviours, so a relaxed `--model` would be
-/// silently ignored.
-const SC_ONLY: [&str; 6] = [
-    "executions",
-    "guarantee",
-    "classify",
-    "correspondence",
-    "rewrites",
-    "oota",
-];
+/// executions or classify over SC tracesets, so a relaxed `--model`
+/// would be silently ignored.
+const SC_ONLY: [&str; 4] = ["executions", "classify", "correspondence", "oota"];
+
+/// The commands whose traceset extraction runs without a budget or a
+/// metrics collector: the budget and stats flags would be silently
+/// dropped, so they are refused.
+const UNBUDGETED: [&str; 3] = ["classify", "correspondence", "oota"];
 
 fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode, String> {
     let command = args.first().map(String::as_str);
@@ -769,6 +810,17 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                 "{cmd} runs under SC only; --model {} is not supported",
                 opts.model
             ));
+        }
+    }
+    if let Some(cmd) = command.filter(|cmd| UNBUDGETED.contains(cmd)) {
+        let flags = [
+            ("--timeout", opts.budget.deadline.is_some()),
+            ("--max-states", opts.budget.max_states.is_some()),
+            ("--stats", stats.mode != StatsMode::Off),
+            ("--trace-out", stats.trace_out.is_some()),
+        ];
+        if let Some((flag, _)) = flags.iter().find(|(_, given)| *given) {
+            return Err(format!("{cmd} does not support {flag}"));
         }
     }
     match command {
@@ -873,13 +925,19 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
         Some("guarantee") if args.len() == 3 => {
             let original = load(&args[1])?;
             let transformed = load_with(&args[2], original.symbols.clone())?;
-            let verdict = drf_guarantee(&transformed.program, &original.program, opts);
-            println!("{verdict}");
-            Ok(if verdict.is_consistent_with_paper() {
+            let report = opts.guarantee_with_cancel(
+                &transformed.program,
+                &original.program,
+                cancel_token().clone(),
+            );
+            println!("{}", report.output);
+            stats.emit(&report.stats)?;
+            let verdict_code = if report.output.is_consistent_with_paper() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
-            })
+            };
+            Ok(hard_phase_exit(&report).unwrap_or(verdict_code))
         }
         Some("classify") | Some("correspondence") if args.len() == 3 => {
             let original = load(&args[1])?;
@@ -900,11 +958,24 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
         }
         Some("rewrites") if args.len() == 2 => {
             let p = load(&args[1])?;
+            let mut total = ExploreStats {
+                enabled: opts.metrics,
+                model: opts.model.as_str().to_string(),
+                ..ExploreStats::default()
+            };
+            let mut code = ExitCode::SUCCESS;
             for rw in transafety::syntactic::all_rewrites(&p.program) {
-                let verdict = drf_guarantee(&rw.result, &p.program, opts);
-                println!("{rw} — {verdict}");
+                let report =
+                    opts.guarantee_with_cancel(&rw.result, &p.program, cancel_token().clone());
+                println!("{rw} — {}", report.output);
+                add_stats(&mut total, &report.stats);
+                if let Some(degraded) = hard_phase_exit(&report) {
+                    code = degraded;
+                    break;
+                }
             }
-            Ok(ExitCode::SUCCESS)
+            stats.emit(&total)?;
+            Ok(code)
         }
         Some("oota") if args.len() == 3 => {
             let p = load(&args[1])?;

@@ -26,12 +26,15 @@ fn drfcheck_full(args: &[&str]) -> (String, String, Option<i32>) {
 
 /// A DRF (all accesses volatile) program whose reachable state space is
 /// exponential in the thread count — no budgetless race search can
-/// finish it in reasonable time.
-fn exponential_program_file() -> std::path::PathBuf {
+/// finish it in reasonable time. Each test names its own copy, so tests
+/// running at once never remove each other's file.
+fn exponential_program_file(test: &str) -> std::path::PathBuf {
     let thread = "v := 1; r0 := v; v := r0; r1 := v; print r1;";
     let src = format!("volatile v;\n{}", [thread; 8].join("\n|| "));
-    let path =
-        std::env::temp_dir().join(format!("drfcheck-exponential-{}.tsl", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "drfcheck-exponential-{test}-{}.tsl",
+        std::process::id()
+    ));
     std::fs::write(&path, src).expect("temp program is writable");
     path
 }
@@ -117,10 +120,8 @@ fn phase_commands_honour_model_budget_and_stats_flags() {
     // and still accept `--model sc`.
     for args in [
         &["executions", "sb"][..],
-        &["guarantee", "fig1-original", "fig1-transformed"],
         &["classify", "fig1-original", "fig1-transformed"],
         &["correspondence", "fig1-original", "fig1-transformed"],
-        &["rewrites", "sb"],
         &["oota", "oota", "42"],
     ] {
         let cmd = args[0];
@@ -176,6 +177,73 @@ fn phase_commands_honour_model_budget_and_stats_flags() {
         }
     }
     assert!(flushes > 0, "{races}");
+}
+
+/// `guarantee` and `rewrites` run on `Analysis::guarantee`: they answer
+/// under every model, a state cap trips them into exit 3 with the
+/// truncation line on stderr, and `--stats=json` puts the stats, with
+/// the model, on the last stdout line.
+#[test]
+fn guarantee_and_rewrites_honour_model_budget_and_stats_flags() {
+    let guarantee = ["guarantee", "fig3-a", "fig3-b"];
+    let rewrites = ["rewrites", "sb"];
+    for args in [&guarantee[..], &rewrites] {
+        let cmd = args[0];
+        let (out, err, code) = drfcheck_full(&[&["--max-states", "1"][..], args].concat());
+        assert_eq!(code, Some(3), "{cmd}: {out}{err}");
+        assert!(err.contains("analysis truncated"), "{cmd}: {err}");
+        assert!(err.contains("state cap"), "{cmd}: {err}");
+        for model in ["sc", "tso", "pso"] {
+            let (plain, err, code) = drfcheck_full(&[&["--model", model][..], args].concat());
+            assert!(
+                matches!(code, Some(0 | 1)),
+                "{cmd} --model {model}: {plain}{err}"
+            );
+            assert!(!plain.is_empty(), "{cmd} --model {model}");
+            let flags = ["--model", model, "--stats=json"];
+            let (out, err, stats_code) = drfcheck_full(&[&flags[..], args].concat());
+            assert_eq!(stats_code, code, "{cmd} --model {model}: {err}");
+            let (answer, last) = out.trim_end().rsplit_once('\n').expect("answer and stats");
+            assert_eq!(format!("{answer}\n"), plain, "{cmd} --model {model}");
+            assert!(last.starts_with("{\"schema\""), "{cmd}: {last}");
+            assert!(
+                last.contains(&format!("\"model\":\"{model}\"")),
+                "{cmd} --model {model}: {last}"
+            );
+        }
+    }
+    let (out, _, code) = drfcheck_full(&guarantee);
+    assert_eq!(code, Some(1), "{out}");
+    assert!(out.starts_with("VIOLATION: race introduced"), "{out}");
+}
+
+/// `classify`, `correspondence` and `oota` extract tracesets without a
+/// budget or metrics, so the budget and stats flags are usage errors
+/// there rather than silently dropped.
+#[test]
+fn unbudgeted_commands_refuse_budget_and_stats_flags() {
+    let trace = std::env::temp_dir().join(format!("drfcheck-refused-{}.trace", std::process::id()));
+    let trace = trace.to_str().unwrap();
+    for args in [
+        &["classify", "fig3-a", "fig3-b"][..],
+        &["correspondence", "fig3-a", "fig3-b"],
+        &["oota", "oota", "42"],
+    ] {
+        let cmd = args[0];
+        for flags in [
+            &["--timeout", "5"][..],
+            &["--max-states", "1"],
+            &["--stats"],
+            &["--stats=json"],
+            &["--trace-out", trace],
+        ] {
+            let (out, err, code) = drfcheck_full(&[flags, args].concat());
+            assert_eq!(code, Some(2), "{cmd} {flags:?}: {out}{err}");
+            assert!(out.is_empty(), "{cmd} {flags:?}: {out}");
+            assert!(err.contains("does not support"), "{cmd} {flags:?}: {err}");
+        }
+    }
+    assert!(!std::path::Path::new(trace).exists());
 }
 
 /// `tso` and `pso` never present an explanation of bounded behaviour
@@ -280,7 +348,7 @@ fn states_honours_the_budget_flags() {
     assert_eq!(code, Some(3), "{out}{err}");
     assert!(out.contains("completeness: truncated"), "{out}");
     assert!(err.contains("analysis truncated"), "{err}");
-    let path = exponential_program_file();
+    let path = exponential_program_file("states_honours_the_budget_flags");
     let (out, _, code) = drfcheck_full(&["--timeout", "0.2", "states", path.to_str().unwrap()]);
     let _ = std::fs::remove_file(&path);
     assert_eq!(code, Some(4), "{out}");
@@ -306,7 +374,7 @@ fn no_por_flag_agrees_with_default() {
 
 #[test]
 fn timeout_on_exponential_program_exits_4_promptly() {
-    let path = exponential_program_file();
+    let path = exponential_program_file("timeout_on_exponential_program_exits_4_promptly");
     let started = Instant::now();
     let (out, err, code) = drfcheck_full(&["--timeout", "1", "races", path.to_str().unwrap()]);
     let elapsed = started.elapsed();
@@ -323,7 +391,7 @@ fn timeout_on_exponential_program_exits_4_promptly() {
 
 #[test]
 fn state_cap_exits_3_with_partial_report() {
-    let path = exponential_program_file();
+    let path = exponential_program_file("state_cap_exits_3_with_partial_report");
     let (out, err, code) = drfcheck_full(&["--max-states", "64", "races", path.to_str().unwrap()]);
     let _ = std::fs::remove_file(&path);
     assert_eq!(code, Some(3), "stdout: {out}\nstderr: {err}");
@@ -334,7 +402,7 @@ fn state_cap_exits_3_with_partial_report() {
 #[test]
 #[cfg(unix)]
 fn sigint_flushes_partial_report_and_exits_4() {
-    let path = exponential_program_file();
+    let path = exponential_program_file("sigint_flushes_partial_report_and_exits_4");
     let child = Command::new(env!("CARGO_BIN_EXE_drfcheck"))
         .args(["--jobs", "2", "races", path.to_str().unwrap()])
         .stdout(std::process::Stdio::piped())
@@ -357,6 +425,43 @@ fn sigint_flushes_partial_report_and_exits_4() {
         "stdout: {stdout}\nstderr: {stderr}"
     );
     assert!(stdout.contains("unknown"), "{stdout}");
+    assert!(stderr.contains("cancelled"), "{stderr}");
+}
+
+#[test]
+#[cfg(unix)]
+fn sigint_and_timeout_stop_guarantee_with_exit_4() {
+    let path = exponential_program_file("sigint_and_timeout_stop_guarantee_with_exit_4");
+    let program = path.to_str().unwrap();
+    let started = Instant::now();
+    let (out, err, code) = drfcheck_full(&["--timeout", "1", "guarantee", program, program]);
+    let elapsed = started.elapsed();
+    assert_eq!(code, Some(4), "stdout: {out}\nstderr: {err}");
+    assert_eq!(out, "inconclusive\n");
+    assert!(err.contains("wall-clock"), "{err}");
+    assert!(elapsed < Duration::from_secs(4), "took {elapsed:?}");
+    let child = Command::new(env!("CARGO_BIN_EXE_drfcheck"))
+        .args(["guarantee", program, program])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("drfcheck spawns");
+    std::thread::sleep(Duration::from_millis(300));
+    let kill = Command::new("kill")
+        .args(["-INT", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+    let out = child.wait_with_output().expect("drfcheck exits");
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "stdout: {stdout}\nstderr: {stderr}"
+    );
+    assert_eq!(stdout, "inconclusive\n");
     assert!(stderr.contains("cancelled"), "{stderr}");
 }
 

@@ -3,9 +3,10 @@
 //! For a (program, pipeline, model) triple the oracle applies the
 //! pipeline and compares the behaviour sets and race verdicts of the
 //! original and the transformed program under the chosen memory model
-//! (both sides go through the budgeted [`Analysis`] engine — the
-//! SC-only `behaviour_refinement` entry point is deliberately not
-//! used).  Refinement is *required* exactly when the paper promises it:
+//! (each side runs [`Analysis::run`] on its own budget, and the
+//! behaviour sets are compared by the checker's one refinement rule,
+//! [`Refinement::compare`]).  Refinement is *required* exactly when the
+//! paper promises it:
 //!
 //! - the original is DRF under the model (Theorems 1–4 plus the model's
 //!   DRF guarantee), or
@@ -23,7 +24,7 @@
 
 use std::time::{Duration, Instant};
 
-use transafety_checker::{classify_transformation_under, Analysis, Verdict};
+use transafety_checker::{classify_transformation_under, Analysis, Refinement, Verdict};
 use transafety_interleaving::Budget;
 use transafety_lang::Program;
 use transafety_traces::{MemoryModelKind, Value};
@@ -175,24 +176,15 @@ pub fn check_pair(program: &Program, pipeline: &Pipeline, config: &OracleConfig)
     let original_drf = original.verdict == Verdict::DrfProven;
     let required = original_drf || application.unconditionally_refines_under(config.model);
 
-    // Soundness of the subset check only needs the *original* side to be
-    // complete: any behaviour the (possibly truncated) transformed run
-    // did reach is a real behaviour, so its absence from a complete
-    // original set is a genuine divergence.
-    let divergence_kind = if original.behaviours.complete {
-        transformed
-            .behaviours
-            .value
-            .iter()
-            .find(|b| !original.behaviours.value.contains(*b))
-            .cloned()
-            .map(DivergenceKind::NewBehaviour)
-            .or_else(|| {
-                (original_drf && transformed.verdict == Verdict::Racy)
-                    .then_some(DivergenceKind::RaceIntroduced)
-            })
-    } else {
-        None
+    let refinement = Refinement::compare(&transformed.behaviours, &original.behaviours);
+    let divergence_kind = match &refinement {
+        Refinement::NewBehaviour(b) => Some(DivergenceKind::NewBehaviour(b.clone())),
+        // A proven-DRF original ran complete, so its behaviour set is
+        // complete too.
+        _ if original_drf && transformed.verdict == Verdict::Racy => {
+            Some(DivergenceKind::RaceIntroduced)
+        }
+        _ => None,
     };
 
     let outcome = match divergence_kind {
@@ -212,17 +204,12 @@ pub fn check_pair(program: &Program, pipeline: &Pipeline, config: &OracleConfig)
                 Outcome::ExpectedDivergence(divergence)
             }
         }
-        None => {
-            if original.behaviours.complete && transformed.behaviours.complete {
-                // Full refinement established.  When the original is DRF
-                // the transformed side must also stay DRF; `Unknown`
-                // with complete behaviours cannot happen (complete runs
-                // are verdict-conclusive), so only Racy trips above.
-                Outcome::Refines
-            } else {
-                Outcome::Inconclusive
-            }
-        }
+        // Full refinement established. When the original is DRF the
+        // transformed side must also stay DRF; `Unknown` with complete
+        // behaviours cannot happen (complete runs are
+        // verdict-conclusive), so only `Racy` trips above.
+        None if refinement == Refinement::Refines => Outcome::Refines,
+        None => Outcome::Inconclusive,
     };
 
     CaseReport {
