@@ -1,5 +1,6 @@
-//! E21b: the SC-first race phase under TSO and PSO (the letter keeps it
-//! apart from the E21 fuzzing soak, which writes no report file).
+//! E21b: the SC-first race and behaviour phases under TSO and PSO (the
+//! letter keeps it apart from the E21 fuzzing soak, which writes no
+//! report file).
 //!
 //! §5 proves that write→read reordering and read-after-write
 //! elimination preserve data race freedom, and §8 that they are all TSO
@@ -7,17 +8,27 @@
 //! under SC. `Analysis` therefore answers the race question under
 //! `--model tso|pso` with the SC race search (reduced, and exact on
 //! loops) and lifts its witness to the machine, instead of running the
-//! unreduced, fuel-bounded buffered race search.
+//! unreduced, fuel-bounded buffered race search. A program that search
+//! proves race free has the same behaviours on the buffered machines as
+//! under SC, so `Analysis::run` then takes its behaviour set from the
+//! SC behaviour search instead of the buffered engine.
 //!
-//! This bench runs both searches over the litmus corpus and generated
-//! wide programs (3–4 threads, racy and lock-disciplined: the
-//! `check-large` shapes of the end-to-end benchmark) under TSO and PSO,
-//! and records the states each visits. Two gates, both on deterministic
-//! state counts, so they run in the smoke mode too:
+//! This bench runs both race searches and both behaviour phases over
+//! the litmus corpus and generated wide programs (3–4 threads, racy and
+//! lock-disciplined: the `check-large` shapes of the end-to-end
+//! benchmark) under TSO and PSO, and records the states each visits.
+//! The gates are all on deterministic state counts, so they run in the
+//! smoke mode too:
 //!
-//! - the SC-first phase visits exactly the states the SC race search
-//!   visits, on every program;
-//! - the aggregate buffered / SC-first state ratio is at least 3.0.
+//! - the SC-first race phase visits exactly the states the SC race
+//!   search visits, on every program;
+//! - the aggregate buffered / SC-first race-phase state ratio is at
+//!   least 3.0;
+//! - on every program whose buffered behaviour set is complete, the
+//!   behaviour set of `Analysis::run` equals it (the SC search's on a
+//!   race free program);
+//! - over the race free programs, the aggregate buffered / SC-first
+//!   behaviour-phase state ratio is at least 1.15.
 //!
 //! A buffered witness is conclusive, so wherever the buffered search
 //! finds a race the SC-first phase must find one too. The table is
@@ -31,8 +42,8 @@ use std::hint::black_box;
 use transafety_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use transafety::checker::Analysis;
-use transafety::interleaving::{BudgetGuard, ExploreMetrics};
-use transafety::lang::{ExploreOptions, MemoryModel, ModelExplorer, Program};
+use transafety::interleaving::{Behaviours, BudgetGuard, ExploreMetrics};
+use transafety::lang::{Bounded, ExploreOptions, MemoryModel, ModelExplorer, Program};
 use transafety::litmus::{corpus, random_program, GeneratorConfig};
 use transafety::traces::MemoryModelKind;
 use transafety::tso::{PsoModel, TsoModel};
@@ -41,8 +52,12 @@ use transafety::{Budget, CancelToken};
 /// Generated programs per wide shape.
 const PER_SHAPE: u64 = 6;
 
-/// The aggregate buffered / SC-first state-ratio gate.
+/// The aggregate buffered / SC-first race-phase state-ratio gate.
 const RATIO_GATE: f64 = 3.0;
+
+/// The aggregate buffered / SC-first behaviour-phase state-ratio gate,
+/// over the race free programs.
+const BEHAVIOUR_RATIO_GATE: f64 = 1.15;
 
 /// The litmus corpus, then the generated wide programs.
 fn programs() -> Vec<(String, Program)> {
@@ -81,11 +96,21 @@ struct Row {
     sc: u64,
     buffered_racy: bool,
     sc_first_racy: bool,
+    /// States the buffered behaviour engine visits.
+    buffered_behaviours: u64,
+    /// States the behaviour phase of `Analysis::run` visits.
+    sc_first_behaviours: u64,
+    /// `run` reported the buffered set, or the buffered set is bounded.
+    behaviours_agree: bool,
 }
 
 impl Row {
     fn ratio(&self) -> f64 {
         self.buffered as f64 / self.sc_first.max(1) as f64
+    }
+
+    fn behaviour_ratio(&self) -> f64 {
+        self.buffered_behaviours as f64 / self.sc_first_behaviours.max(1) as f64
     }
 }
 
@@ -99,6 +124,26 @@ fn buffered_race<M: MemoryModel>(machine: &M) -> (u64, bool) {
         .race_witness_governed(&ExploreOptions::default(), &guard)
         .is_some();
     (collector.snapshot().states_visited, racy)
+}
+
+/// States visited by the buffered behaviour engine, and its set.
+fn buffered_behaviours<M: MemoryModel>(machine: &M) -> (u64, Bounded<Behaviours>) {
+    let collector = ExploreMetrics::collector();
+    let guard =
+        BudgetGuard::with_metrics(&Budget::unlimited(), CancelToken::new(), collector.clone());
+    let set = ModelExplorer::new(machine).behaviours_governed(&ExploreOptions::default(), &guard);
+    (collector.snapshot().states_visited, set)
+}
+
+/// States visited by the behaviour phase of `Analysis::run` under
+/// `model` (the run's states less its race phase's), and its set.
+fn behaviour_phase(
+    program: &Program,
+    model: MemoryModelKind,
+    race_states: u64,
+) -> (u64, Bounded<Behaviours>) {
+    let report = Analysis::new().model(model).metrics(true).run(program);
+    (report.stats.states_visited - race_states, report.behaviours)
 }
 
 /// States visited by `Analysis::races` under `model`, and whether it
@@ -117,11 +162,18 @@ fn measure(corpus: &[(String, Program)]) -> Vec<Row> {
     for (name, p) in corpus {
         let (sc, _) = race_phase(p, MemoryModelKind::Sc);
         for model in [MemoryModelKind::Tso, MemoryModelKind::Pso] {
-            let (buffered, buffered_racy) = match model {
-                MemoryModelKind::Tso => buffered_race(&TsoModel::new(p)),
-                _ => buffered_race(&PsoModel::new(p)),
+            let ((buffered, buffered_racy), (buffered_behaviours, buffered_set)) = match model {
+                MemoryModelKind::Tso => {
+                    let tso = TsoModel::new(p);
+                    (buffered_race(&tso), buffered_behaviours(&tso))
+                }
+                _ => {
+                    let pso = PsoModel::new(p);
+                    (buffered_race(&pso), buffered_behaviours(&pso))
+                }
             };
             let (sc_first, sc_first_racy) = race_phase(p, model);
+            let (sc_first_behaviours, set) = behaviour_phase(p, model, sc_first);
             rows.push(Row {
                 name: name.clone(),
                 model,
@@ -130,33 +182,46 @@ fn measure(corpus: &[(String, Program)]) -> Vec<Row> {
                 sc,
                 buffered_racy,
                 sc_first_racy,
+                buffered_behaviours,
+                sc_first_behaviours,
+                behaviours_agree: !buffered_set.complete || set == buffered_set,
             });
         }
     }
     rows
 }
 
-/// Total buffered states over total SC-first states, so the heavy
-/// programs dominate.
-fn aggregate_ratio<'a>(rows: impl Iterator<Item = &'a Row> + Clone) -> f64 {
-    let buffered: u64 = rows.clone().map(|r| r.buffered).sum();
-    let sc_first: u64 = rows.map(|r| r.sc_first).sum();
-    buffered as f64 / sc_first.max(1) as f64
+/// Total buffered states over total SC-first states, race phase then
+/// behaviour phase, so the heavy programs dominate.
+fn aggregate_ratio<'a>(rows: impl Iterator<Item = &'a Row> + Clone) -> (f64, f64) {
+    let sum = |f: fn(&Row) -> u64| rows.clone().map(f).sum::<u64>().max(1) as f64;
+    (
+        sum(|r| r.buffered) / sum(|r| r.sc_first),
+        sum(|r| r.buffered_behaviours) / sum(|r| r.sc_first_behaviours),
+    )
+}
+
+/// The rows whose behaviour phase is the SC search: the race free ones.
+fn race_free(rows: &[Row]) -> impl Iterator<Item = &Row> + Clone {
+    rows.iter().filter(|r| !r.sc_first_racy)
 }
 
 fn print_table(rows: &[Row]) {
     println!(
-        "\nE21b/race_phase_states (sequential, gated)\n{:<26} {:>5} {:>10} {:>10} {:>8}  racy",
-        "program", "model", "buffered", "sc-first", "ratio"
+        "\nE21b/phase_states (sequential, gated)\n{:<26} {:>5} {:>10} {:>10} {:>8}  {:>10} {:>10} {:>8}  racy",
+        "program", "model", "buffered", "sc-first", "ratio", "buf-behav", "sc-behav", "ratio"
     );
     for r in rows {
         println!(
-            "{:<26} {:>5} {:>10} {:>10} {:>7.2}x  {}/{}",
+            "{:<26} {:>5} {:>10} {:>10} {:>7.2}x  {:>10} {:>10} {:>7.2}x  {}/{}",
             r.name,
             r.model,
             r.buffered,
             r.sc_first,
             r.ratio(),
+            r.buffered_behaviours,
+            r.sc_first_behaviours,
+            r.behaviour_ratio(),
             r.buffered_racy,
             r.sc_first_racy
         );
@@ -165,22 +230,35 @@ fn print_table(rows: &[Row]) {
 
 /// Writes the measured table as a small hand-rolled JSON report (the
 /// offline build has no serde).
-fn write_report(rows: &[Row], gate: f64, smoke: bool) {
+fn write_report(rows: &[Row], gates: (f64, f64), smoke: bool) {
     let path = std::env::var("BENCH_E21_OUT").unwrap_or_else(|_| "BENCH_E21.json".to_string());
     let mut out = String::from("{\n  \"experiment\": \"E21b\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"aggregate_ratio\": {gate:.3},\n"));
+    out.push_str(&format!("  \"aggregate_ratio\": {:.3},\n", gates.0));
+    out.push_str(&format!(
+        "  \"aggregate_behaviour_ratio_race_free\": {:.3},\n",
+        gates.1
+    ));
     for model in [MemoryModelKind::Tso, MemoryModelKind::Pso] {
-        let ratio = aggregate_ratio(rows.iter().filter(|r| r.model == model));
-        out.push_str(&format!("  \"aggregate_ratio_{model}\": {ratio:.3},\n"));
+        let (races, _) = aggregate_ratio(rows.iter().filter(|r| r.model == model));
+        let (_, behaviours) = aggregate_ratio(race_free(rows).filter(|r| r.model == model));
+        out.push_str(&format!("  \"aggregate_ratio_{model}\": {races:.3},\n"));
+        out.push_str(&format!(
+            "  \"aggregate_behaviour_ratio_race_free_{model}\": {behaviours:.3},\n"
+        ));
     }
     out.push_str(&format!("  \"ratio_gate\": {RATIO_GATE:.1},\n"));
+    out.push_str(&format!(
+        "  \"behaviour_ratio_gate\": {BEHAVIOUR_RATIO_GATE:.2},\n"
+    ));
     out.push_str("  \"programs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"model\": \"{}\", \"buffered_states\": {}, \
              \"sc_first_states\": {}, \"sc_states\": {}, \"ratio\": {:.3}, \
-             \"buffered_racy\": {}, \"sc_first_racy\": {}}}{}\n",
+             \"buffered_racy\": {}, \"sc_first_racy\": {}, \
+             \"buffered_behaviour_states\": {}, \"sc_first_behaviour_states\": {}, \
+             \"behaviour_ratio\": {:.3}}}{}\n",
             r.name,
             r.model,
             r.buffered,
@@ -189,6 +267,9 @@ fn write_report(rows: &[Row], gate: f64, smoke: bool) {
             r.ratio(),
             r.buffered_racy,
             r.sc_first_racy,
+            r.buffered_behaviours,
+            r.sc_first_behaviours,
+            r.behaviour_ratio(),
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -197,7 +278,7 @@ fn write_report(rows: &[Row], gate: f64, smoke: bool) {
     println!("E21b report written to {path}");
 }
 
-fn sc_first_race_phase(c: &mut Criterion) {
+fn sc_first_phases(c: &mut Criterion) {
     let corpus = programs();
     let rows = measure(&corpus);
     print_table(&rows);
@@ -213,14 +294,31 @@ fn sc_first_race_phase(c: &mut Criterion) {
             r.name,
             r.model
         );
+        assert!(
+            r.behaviours_agree,
+            "{} [{}]: the run's behaviour set differs from the complete buffered set",
+            r.name, r.model
+        );
     }
-    let gate = aggregate_ratio(rows.iter());
-    println!("\nE21b aggregate buffered / SC-first race-phase states: {gate:.2}x (gate: >= {RATIO_GATE}x)");
-    assert!(
-        gate >= RATIO_GATE,
-        "the SC-first race phase must visit >= {RATIO_GATE}x fewer states, got {gate:.2}x"
+    let (race_ratio, _) = aggregate_ratio(rows.iter());
+    let (_, behaviour_ratio) = aggregate_ratio(race_free(&rows));
+    println!(
+        "\nE21b aggregate buffered / SC-first race-phase states: {race_ratio:.2}x (gate: >= {RATIO_GATE}x)"
     );
-    write_report(&rows, gate, smoke_mode());
+    println!(
+        "E21b aggregate buffered / SC-first behaviour-phase states, race free programs: \
+         {behaviour_ratio:.2}x (gate: >= {BEHAVIOUR_RATIO_GATE}x)"
+    );
+    assert!(
+        race_ratio >= RATIO_GATE,
+        "the SC-first race phase must visit >= {RATIO_GATE}x fewer states, got {race_ratio:.2}x"
+    );
+    assert!(
+        behaviour_ratio >= BEHAVIOUR_RATIO_GATE,
+        "the SC-first behaviour phase must visit >= {BEHAVIOUR_RATIO_GATE}x fewer states on \
+         race free programs, got {behaviour_ratio:.2}x"
+    );
+    write_report(&rows, (race_ratio, behaviour_ratio), smoke_mode());
     if smoke_mode() {
         return; // smoke mode: assertions + report only, no timing loops
     }
@@ -234,7 +332,21 @@ fn sc_first_race_phase(c: &mut Criterion) {
         });
     }
     group.finish();
+    let mut group = c.benchmark_group("E21b/behaviours/tso");
+    for (name, p) in corpus.iter().filter(|(n, _)| n.contains("locked")).take(2) {
+        group.bench_with_input(BenchmarkId::new("buffered", name), p, |b, p| {
+            b.iter(|| buffered_behaviours(&TsoModel::new(black_box(p))))
+        });
+        group.bench_with_input(BenchmarkId::new("sc-first", name), p, |b, p| {
+            b.iter(|| {
+                Analysis::new()
+                    .model(MemoryModelKind::Tso)
+                    .run(black_box(p))
+            })
+        });
+    }
+    group.finish();
 }
 
-criterion_group!(benches, sc_first_race_phase);
+criterion_group!(benches, sc_first_phases);
 criterion_main!(benches);

@@ -3,8 +3,8 @@
 
 use std::fmt;
 
-use transafety_interleaving::{Behaviours, RaceWitness};
-use transafety_lang::{Bounded, Program, ProgramExplorer};
+use transafety_interleaving::Behaviours;
+use transafety_lang::{Bounded, ModelRaceWitness, Program, ProgramExplorer};
 use transafety_traces::{MemoryModelKind, Value};
 
 use crate::Analysis;
@@ -93,8 +93,9 @@ pub fn behaviour_refinement(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DrfVerdict {
     /// The original program has a data race — the DRF guarantee promises
-    /// nothing (the witness shows the race).
-    OriginalRacy(Box<RaceWitness>),
+    /// nothing (the witness shows the race, with its schedule on the
+    /// configured model's machine).
+    OriginalRacy(Box<ModelRaceWitness>),
     /// The original is DRF, the transformed program refines it, and the
     /// transformed program is DRF too — exactly what the theorems claim.
     Holds,
@@ -103,8 +104,9 @@ pub enum DrfVerdict {
     /// exposes an unsafe transformation, as in Fig. 3).
     NewBehaviour(Vec<Value>),
     /// The original is DRF but the transformed program races — the
-    /// transformation failed to preserve data race freedom.
-    RaceIntroduced(Box<RaceWitness>),
+    /// transformation failed to preserve data race freedom (the witness
+    /// as in [`OriginalRacy`](DrfVerdict::OriginalRacy)).
+    RaceIntroduced(Box<ModelRaceWitness>),
     /// Bounds were hit; no verdict.
     Inconclusive,
 }
@@ -121,12 +123,14 @@ impl DrfVerdict {
 impl fmt::Display for DrfVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DrfVerdict::OriginalRacy(w) => write!(f, "original racy: {w}"),
+            DrfVerdict::OriginalRacy(w) => write!(f, "original racy: {}", w.witness),
             DrfVerdict::Holds => f.write_str("DRF guarantee holds"),
             DrfVerdict::NewBehaviour(b) => {
                 write!(f, "VIOLATION: new behaviour {:?}", b)
             }
-            DrfVerdict::RaceIntroduced(w) => write!(f, "VIOLATION: race introduced: {w}"),
+            DrfVerdict::RaceIntroduced(w) => {
+                write!(f, "VIOLATION: race introduced: {}", w.witness)
+            }
             DrfVerdict::Inconclusive => f.write_str("inconclusive"),
         }
     }

@@ -62,13 +62,20 @@ pub struct Analysis {
     /// The memory model the exploration engines run under. The default
     /// [`MemoryModelKind::Sc`] is the paper's baseline semantics;
     /// [`Tso`](MemoryModelKind::Tso) and [`Pso`](MemoryModelKind::Pso)
-    /// run the behaviour phase, the census and the §8 explanation on
-    /// the buffered operational machines of §8. Their race phase is the
-    /// SC race search: a program races on those machines iff it races
-    /// under SC (§5, §8), and the SC search is reduced and exact on
-    /// loops. Its witness is lifted to the machine, every store flushed
-    /// right after it is buffered (see
+    /// run the census, the §8 explanation and
+    /// [`behaviours`](Analysis::behaviours) on the buffered operational
+    /// machines of §8. Their race phase is the SC race search: a program
+    /// races on those machines iff it races under SC (§5, §8), and the
+    /// SC search is reduced and exact on loops. Its witness is lifted to
+    /// the machine, every store flushed right after it is buffered (see
     /// [`MemoryModel::lift_sc_witness`](transafety_lang::MemoryModel::lift_sc_witness)).
+    /// The SC-first rule carries over to the behaviours in
+    /// [`run`](Analysis::run) and [`guarantee`](Analysis::guarantee): a
+    /// program the race phase proves race free has the same behaviours
+    /// on the machines as under SC, so its set comes from the SC
+    /// behaviour search, and from the buffered engine only where the
+    /// per-execution action bound cut that search. A racy program's set
+    /// comes from the buffered engine.
     /// All budgets and metrics apply uniformly; each backend
     /// negotiates its own partial-order reduction (see
     /// [`MemoryModel::reduced_moves`](transafety_lang::MemoryModel::reduced_moves)).
@@ -244,13 +251,22 @@ impl Analysis {
         }
     }
 
-    /// Runs the single-program analysis — behaviour evaluation, then
-    /// the race search — on the sequential engine at every
+    /// Runs the single-program analysis — behaviour evaluation and the
+    /// race search — on the sequential engine at every
     /// [`jobs`](Analysis::jobs), under [`budget`](Analysis::budget).
     /// These two phases answer the paper's questions (is the program
     /// DRF, what can it print); the unreduced reachable-state census is
     /// a separate operation, [`census`](Analysis::census), that a
     /// caller asks for.
+    ///
+    /// Under SC the behaviours are evaluated first. Under TSO/PSO the SC
+    /// race search runs first, and the behaviours of a program it proves
+    /// race free are its SC behaviours (the SC-first rule of
+    /// [`model`](Analysis#structfield.model)): the buffered engine runs
+    /// only on a racy program, or where the action bound cut the SC
+    /// search. When a hard bound (states, deadline, cancellation) cuts
+    /// the SC search, the partial SC set is reported, flagged bounded;
+    /// SC ⊆ TSO ⊆ PSO, so every behaviour in it is real.
     #[must_use]
     pub fn run(&self, program: &Program) -> AnalysisReport {
         self.run_with_cancel(program, CancelToken::new())
@@ -298,9 +314,14 @@ impl Analysis {
         }
     }
 
-    /// The behaviour phase of [`run`](Analysis::run) on its own: every
-    /// output sequence of the program's executions under the configured
-    /// model, with the completeness flag of the bounded exploration.
+    /// Every output sequence of the program's executions under the
+    /// configured model, with the completeness flag of the bounded
+    /// exploration, from the model's own engine: under TSO/PSO the
+    /// buffered one, whether or not the program races. It is the oracle
+    /// of the behaviour phase of [`run`](Analysis::run), which answers
+    /// a race free program from the SC search instead (see
+    /// [`model`](Analysis#structfield.model)); wherever both complete
+    /// they report the same set.
     #[must_use]
     pub fn behaviours(&self, program: &Program) -> PhaseReport<Bounded<Behaviours>> {
         self.behaviours_with_cancel(program, CancelToken::new())
@@ -495,21 +516,27 @@ fn with_model<T: ModelTask>(
     }
 }
 
-/// The verdict path: behaviour evaluation under the model, then the
-/// race search, on one shared budget governor.
+/// The verdict path on one shared budget governor. Under SC: the
+/// behaviour evaluation, then the race search. Under TSO/PSO: the SC
+/// race search first, then the [`behaviour_phase`], which takes a race
+/// free program's behaviours from the SC search.
 struct VerdictPhases<'a>(&'a ExploreOptions);
 
 impl ModelTask for VerdictPhases<'_> {
     type Output = (Bounded<Behaviours>, Option<ModelRaceWitness>);
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
-        let behaviours = mx.behaviours_governed(self.0, guard);
+        if mx.model().kind() == MemoryModelKind::Sc {
+            let behaviours = mx.behaviours_governed(self.0, guard);
+            return (behaviours, race_phase(mx, self.0, guard));
+        }
         let race = race_phase(mx, self.0, guard);
-        (behaviours, race)
+        (behaviour_phase(mx, self.0, guard, race.as_ref()), race)
     }
 }
 
-/// The behaviour evaluation alone.
+/// The behaviour evaluation alone, on the model's own engine: the
+/// buffered one under TSO/PSO, whatever the program's races.
 struct BehaviourPhase<'a>(&'a ExploreOptions);
 
 impl ModelTask for BehaviourPhase<'_> {
@@ -548,9 +575,39 @@ fn race_phase<M: MemoryModel>(
     Some(mx.model().lift_sc_witness(witness))
 }
 
+/// The behaviour phase after a race phase that answered `race`. A
+/// program the SC race search proved race free has the same behaviours
+/// on the TSO/PSO machines as under SC (§5, §8), so its set comes from
+/// the SC search on the model's own [`explorer`](MemoryModel::explorer),
+/// whose configuration cache the race search filled. When only the
+/// per-execution action bound cut that search (a loop out of fuel), the
+/// model's own engine answers instead, so a loop keeps the bounded set
+/// of the machine it runs on. When a hard bound (states, deadline,
+/// cancellation) cut it, the partial SC set is the answer, flagged
+/// bounded: SC ⊆ TSO ⊆ PSO, so every behaviour in it is real. A racy
+/// program, a program whose race search a bound cut short, and every
+/// program under SC run the model's own engine.
+fn behaviour_phase<M: MemoryModel>(
+    mx: &ModelExplorer<'_, M>,
+    opts: &ExploreOptions,
+    guard: &BudgetGuard,
+    race: Option<&ModelRaceWitness>,
+) -> Bounded<Behaviours> {
+    if race.is_some() || mx.model().kind() == MemoryModelKind::Sc || guard.should_stop() {
+        return mx.behaviours_governed(opts, guard);
+    }
+    let sc = ScModel::new(mx.model().explorer());
+    let behaviours = ModelExplorer::new(&sc).behaviours_governed(opts, guard);
+    if behaviours.complete || guard.should_stop() {
+        behaviours
+    } else {
+        mx.behaviours_governed(opts, guard)
+    }
+}
+
 /// The original side of a guarantee check: the race search, then the
-/// behaviours of a program it proved race free. `Err` is the verdict
-/// when the search found a race or was cut short.
+/// [`behaviour_phase`] of a program it proved race free. `Err` is the
+/// verdict when the search found a race or was cut short.
 struct OriginalPhases<'a>(&'a ExploreOptions);
 
 impl ModelTask for OriginalPhases<'_> {
@@ -558,17 +615,20 @@ impl ModelTask for OriginalPhases<'_> {
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
         if let Some(w) = race_phase(mx, self.0, guard) {
-            return Err(DrfVerdict::OriginalRacy(Box::new(w.witness)));
+            return Err(DrfVerdict::OriginalRacy(Box::new(w)));
         }
         if guard.trip_reason().is_some() {
             return Err(DrfVerdict::Inconclusive);
         }
-        Ok(mx.behaviours_governed(self.0, guard))
+        Ok(behaviour_phase(mx, self.0, guard, None))
     }
 }
 
 /// The transformed side of a guarantee check against the original's
-/// behaviours: refinement, then (if it refines) the race search.
+/// behaviours: refinement, then (if it refines) the race search. Under
+/// TSO/PSO the race search runs first, so that the [`behaviour_phase`]
+/// of a race free program is the SC search; the verdict still puts a
+/// new behaviour or an inconclusive comparison before a race.
 struct TransformedPhases<'a>(&'a ExploreOptions, &'a Bounded<Behaviours>);
 
 impl ModelTask for TransformedPhases<'_> {
@@ -576,14 +636,25 @@ impl ModelTask for TransformedPhases<'_> {
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> DrfVerdict {
         let TransformedPhases(explore, original) = self;
-        match Refinement::compare(&mx.behaviours_governed(explore, guard), original) {
+        let (behaviours, early_race) = if mx.model().kind() == MemoryModelKind::Sc {
+            (mx.behaviours_governed(explore, guard), None)
+        } else {
+            let race = race_phase(mx, explore, guard);
+            (
+                behaviour_phase(mx, explore, guard, race.as_ref()),
+                Some(race),
+            )
+        };
+        match Refinement::compare(&behaviours, original) {
             Refinement::NewBehaviour(b) => DrfVerdict::NewBehaviour(b),
             Refinement::Inconclusive => DrfVerdict::Inconclusive,
-            Refinement::Refines => match race_phase(mx, explore, guard) {
-                Some(w) => DrfVerdict::RaceIntroduced(Box::new(w.witness)),
-                None if guard.trip_reason().is_none() => DrfVerdict::Holds,
-                None => DrfVerdict::Inconclusive,
-            },
+            Refinement::Refines => {
+                match early_race.unwrap_or_else(|| race_phase(mx, explore, guard)) {
+                    Some(w) => DrfVerdict::RaceIntroduced(Box::new(w)),
+                    None if guard.trip_reason().is_none() => DrfVerdict::Holds,
+                    None => DrfVerdict::Inconclusive,
+                }
+            }
         }
     }
 }
@@ -643,8 +714,11 @@ impl std::fmt::Display for Verdict {
 /// about one program under the configured bounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisReport {
-    /// The behaviours of the program's SC executions (with the
-    /// completeness flag of the bounded exploration).
+    /// The behaviours of the program's executions under the configured
+    /// model (with the completeness flag of the bounded exploration).
+    /// Under TSO/PSO, a program the race phase proved race free reports
+    /// its SC behaviours, which are its behaviours on the machine (see
+    /// [`Analysis::run`]).
     pub behaviours: Bounded<Behaviours>,
     /// A data race witness, if the program races.
     pub race: Option<RaceWitness>,

@@ -58,7 +58,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use transafety::checker::{
-    classify_transformation, no_thin_air, Analysis, OotaVerdict, TransformationClass,
+    classify_transformation, no_thin_air, Analysis, DrfVerdict, OotaVerdict, TransformationClass,
 };
 use transafety::interleaving::{BudgetGuard, ExploreMetrics, ExploreStats};
 use transafety::lang::{parse_program_with_symbols, ScheduleStep, SourceProgram};
@@ -931,6 +931,9 @@ fn run(args: &[String], opts: &Analysis, stats: &StatsFlags) -> Result<ExitCode,
                 cancel_token().clone(),
             );
             println!("{}", report.output);
+            if let DrfVerdict::OriginalRacy(w) | DrfVerdict::RaceIntroduced(w) = &report.output {
+                print_schedule(&w.schedule);
+            }
             stats.emit(&report.stats)?;
             let verdict_code = if report.output.is_consistent_with_paper() {
                 ExitCode::SUCCESS

@@ -154,29 +154,43 @@ fn phase_commands_honour_model_budget_and_stats_flags() {
     // after it is buffered, except the racing access that ends it.
     let (races, _, code) = drfcheck_full(&["--model", "tso", "races", "sb"]);
     assert_eq!(code, Some(1), "{races}");
-    let schedule: Vec<&str> = races
+    let schedule = assert_flushed_schedule(&races);
+    // `guarantee` prints the same witness, schedule included, when the
+    // original races.
+    let (guarantee, _, code) = drfcheck_full(&["--model", "tso", "guarantee", "sb", "sb"]);
+    assert_eq!(code, Some(0), "{guarantee}");
+    assert!(guarantee.starts_with("original racy: "), "{guarantee}");
+    assert_eq!(assert_flushed_schedule(&guarantee), schedule, "{guarantee}");
+}
+
+/// The "schedule (with store-buffer flushes)" block of `out`, checked to
+/// flush each store right after it is buffered, except the racing access
+/// that ends the schedule.
+fn assert_flushed_schedule(out: &str) -> Vec<&str> {
+    let schedule: Vec<&str> = out
         .lines()
         .skip_while(|l| *l != "schedule (with store-buffer flushes):")
         .skip(1)
         .map(str::trim)
         .collect();
     let (last, steps) = schedule.split_last().expect("a schedule block");
-    assert!(!last.contains("flush"), "{races}");
+    assert!(!last.contains("flush"), "{out}");
     let mut flushes = 0;
     for (i, step) in steps.iter().enumerate() {
         if let Some((thread, action)) = step.split_once(": ") {
             if action.starts_with("W[") {
-                assert_eq!(schedule[i + 1], format!("{thread}: flush"), "{races}");
+                assert_eq!(schedule[i + 1], format!("{thread}: flush"), "{out}");
                 flushes += 1;
             } else if action == "flush" {
                 assert!(
                     schedule[i - 1].starts_with(&format!("{thread}: W[")),
-                    "{races}"
+                    "{out}"
                 );
             }
         }
     }
-    assert!(flushes > 0, "{races}");
+    assert!(flushes > 0, "{out}");
+    schedule
 }
 
 /// `guarantee` and `rewrites` run on `Analysis::guarantee`: they answer

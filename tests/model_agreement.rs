@@ -8,22 +8,27 @@
 //! points must answer as `run` does, and `Analysis::explain` as the
 //! per-model §8 checks it replaced. Under TSO and PSO the race phase is
 //! the SC search with a lifted witness, pinned here against the
-//! buffered race search it replaced. Every model steps its threads
-//! through its program explorer's one configuration table, so one model
-//! serving every phase of an analysis must answer as fresh models do.
+//! buffered race search it replaced. A program that search proves race
+//! free reports its SC behaviour set, pinned here against the buffered
+//! behaviour engine. Every model steps its threads through its program
+//! explorer's one configuration table, so one model serving every phase
+//! of an analysis must answer as fresh models do.
 
 mod support;
 
-use support::{capped_budget, configs, seeds, JOBS};
+use support::{capped_budget, configs, seeds, DEFAULT_SEEDS, JOBS};
 use transafety::checker::Analysis;
 use transafety::interleaving::{Behaviours, BudgetGuard, Event, ExploreMetrics, ExploreStats};
 use transafety::lang::{
-    ExploreOptions, MemoryModel, ModelExplorer, ModelRaceWitness, Program, ProgramExplorer, ScModel,
+    Bounded, ExploreOptions, MemoryModel, ModelExplorer, ModelRaceWitness, Program,
+    ProgramExplorer, ScModel,
 };
 use transafety::litmus::{corpus, random_program, GeneratorConfig};
 use transafety::traces::{MemoryModelKind, ThreadId};
 use transafety::tso::{explain, PsoModel, TsoModel};
-use transafety::{AnalysisReport, Budget, CancelToken, CensusReport};
+use transafety::{
+    AnalysisReport, Budget, BudgetBound, CancelToken, CensusReport, Completeness, TruncationReason,
+};
 
 /// Everything in the report except the wall-clock time must coincide.
 /// The governor's raw state tally is only compared on the sequential
@@ -165,10 +170,13 @@ fn trait_engine_matches_the_legacy_entry_points() {
 }
 
 /// `behaviours` and `races` on their own answer as the two phases of
-/// `run` do. The behaviour phase runs first in `run`, so it sees the
-/// same fresh governor and must agree even when the state cap trips;
-/// the race phase of `run` inherits the behaviour phase's state count,
-/// so the races are compared where `run` completed.
+/// `run` do. Under SC the behaviour phase runs first in `run`, so it
+/// sees the same fresh governor and must agree even when the state cap
+/// trips; under TSO/PSO the race phase runs first and `run` answers a
+/// race free program from the SC behaviour search, which must still
+/// agree with the buffered engine on this corpus. The second phase
+/// inherits the first one's state count, so the races are compared
+/// where `run` completed.
 fn assert_phases_agree_with_run(program: &Program, model: MemoryModelKind, what: &str) {
     let analysis = Analysis::new()
         .model(model)
@@ -412,6 +420,141 @@ fn sc_first_race_phase_matches_the_buffered_search() {
         racy * 4 >= cases && racy * 4 <= cases * 3,
         "{racy} of {cases} racy"
     );
+}
+
+/// The per-execution action bound of the second pass of
+/// [`sc_first_behaviour_phase_matches_the_buffered_engine`]: low enough
+/// that the bound cuts many race free programs, which the default bound
+/// almost never does on this corpus.
+const LOW_ACTION_BOUND: usize = 6;
+
+/// States a behaviour engine visits on a fresh governor under
+/// `analysis`'s budget, with its answer and whether only the action bound
+/// (if anything) cut it.
+fn behaviour_states<M: MemoryModel>(
+    machine: &M,
+    analysis: &Analysis,
+) -> (Bounded<Behaviours>, u64, bool) {
+    let collector = ExploreMetrics::collector();
+    let guard = BudgetGuard::with_metrics(&analysis.budget, CancelToken::new(), collector.clone());
+    let set = ModelExplorer::new(machine).behaviours_governed(&analysis.explore, &guard);
+    let cut_by_fuel_only = matches!(
+        guard.trip_reason(),
+        None | Some(TruncationReason::BudgetExceeded(BudgetBound::Actions))
+    );
+    (set, collector.snapshot().states_visited, cut_by_fuel_only)
+}
+
+/// The buffered behaviour engine, the behaviour phase's oracle, against
+/// `Analysis::run` on one buffered machine. Wherever the engine, called
+/// directly, completes or only the action bound cuts it, and the run's
+/// race phase decided the program, `run` must report the engine's set
+/// and completeness flag. Its states must be the race phase's, then the
+/// SC search's on a race free program, then the buffered engine's on a
+/// racy one or where the action bound cut the SC search. Returns whether
+/// the sets were compared, and whether the compared program is race free
+/// and its set complete.
+fn assert_sc_first_behaviour_phase<M: MemoryModel>(
+    machine: &M,
+    program: &Program,
+    max_actions: usize,
+    what: &str,
+) -> (bool, bool, bool) {
+    let analysis = Analysis::new()
+        .model(machine.kind())
+        .budget(Budget::unlimited().max_states(200_000))
+        .max_actions(max_actions)
+        .metrics(true);
+    let (oracle, oracle_states, oracle_cut_by_fuel_only) = behaviour_states(machine, &analysis);
+    let races = analysis.races(program);
+    let drf = races.output.is_none() && races.completeness.is_complete();
+    let run = analysis.run(program);
+    // The run's phases share one state cap, which the oracle had alone.
+    let run_cut_by_fuel_only = !matches!(
+        run.completeness,
+        Completeness::Truncated {
+            reason: TruncationReason::Cancelled
+                | TruncationReason::BudgetExceeded(BudgetBound::States | BudgetBound::WallClock)
+        }
+    );
+    let compared =
+        oracle_cut_by_fuel_only && run_cut_by_fuel_only && (drf || races.output.is_some());
+    if compared {
+        assert_eq!(run.behaviours, oracle, "{what}: behaviour set");
+        assert_eq!(run.race.is_some(), !drf, "{what}: race verdict");
+        let buffered_states = if drf {
+            let (sc, sc_states, _) = behaviour_states(&ScModel::new(machine.explorer()), &analysis);
+            sc_states + if sc.complete { 0 } else { oracle_states }
+        } else {
+            oracle_states
+        };
+        assert_eq!(
+            run.stats.states_visited,
+            races.stats.states_visited + buffered_states,
+            "{what}: states visited"
+        );
+    }
+    (compared, drf, oracle.complete)
+}
+
+#[test]
+fn sc_first_behaviour_phase_matches_the_buffered_engine() {
+    let shapes = [
+        GeneratorConfig::default(),
+        GeneratorConfig::drf(),
+        GeneratorConfig::with_volatiles(),
+        GeneratorConfig::with_loops(),
+        GeneratorConfig::with_awaits(),
+    ];
+    let generated = (0..seeds()).map(|seed| {
+        let shape = &shapes[usize::try_from(seed).unwrap() % shapes.len()];
+        (format!("seed {seed}"), random_program(seed, shape))
+    });
+    let litmus = corpus()
+        .into_iter()
+        .map(|l| (format!("litmus {}", l.name), l.parse().program));
+    let (mut cases, mut compared, mut drf_complete, mut drf_bounded, mut racy) = (0, 0, 0, 0, 0);
+    for (name, program) in litmus.chain(generated) {
+        for max_actions in [ExploreOptions::default().max_actions, LOW_ACTION_BOUND] {
+            let what = format!("{name} max_actions={max_actions}");
+            for (compared_here, drf, complete) in [
+                assert_sc_first_behaviour_phase(
+                    &TsoModel::new(&program),
+                    &program,
+                    max_actions,
+                    &format!("{what} tso"),
+                ),
+                assert_sc_first_behaviour_phase(
+                    &PsoModel::new(&program),
+                    &program,
+                    max_actions,
+                    &format!("{what} pso"),
+                ),
+            ] {
+                cases += 1;
+                if compared_here {
+                    compared += 1;
+                    match (drf, complete) {
+                        (true, true) => drf_complete += 1,
+                        (true, false) => drf_bounded += 1,
+                        (false, _) => racy += 1,
+                    }
+                }
+            }
+        }
+    }
+    eprintln!(
+        "compared {compared} of {cases} cases: {drf_complete} race free and complete, \
+         {drf_bounded} race free and cut by the action bound, {racy} racy"
+    );
+    // Every kind of comparison must occur; only generated loop programs
+    // are cut by the action bound, so that needs the default seed count.
+    assert!(compared * 4 >= cases * 3, "{compared} of {cases} compared");
+    assert!(drf_complete * 4 >= cases, "{drf_complete} of {cases}");
+    assert!(racy * 4 >= cases, "{racy} of {cases}");
+    if seeds() >= DEFAULT_SEEDS {
+        assert!(drf_bounded > 0, "{drf_bounded} of {cases}");
+    }
 }
 
 /// The [`counters`] of a phase that may run on a configuration table an

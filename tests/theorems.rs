@@ -93,7 +93,7 @@ fn random_drf_programs_rewrites_hold() {
             match drf_guarantee(&rw.result, &p, &opts) {
                 DrfVerdict::Holds => holds += 1,
                 DrfVerdict::OriginalRacy(w) => {
-                    panic!("lock-disciplined program racy? seed {seed}: {w}")
+                    panic!("lock-disciplined program racy? seed {seed}: {}", w.witness)
                 }
                 DrfVerdict::Inconclusive => {}
                 bad => panic!("seed {seed}: {rw} gave {bad}\nprogram:\n{p}"),
