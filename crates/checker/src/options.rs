@@ -73,9 +73,8 @@ pub struct Analysis {
     /// [`run`](Analysis::run) and [`guarantee`](Analysis::guarantee): a
     /// program the race phase proves race free has the same behaviours
     /// on the machines as under SC, so its set comes from the SC
-    /// behaviour search, and from the buffered engine only where the
-    /// per-execution action bound cut that search. A racy program's set
-    /// comes from the buffered engine.
+    /// behaviour search, flagged bounded wherever a bound cut that
+    /// search. A racy program's set comes from the buffered engine.
     /// All budgets and metrics apply uniformly; each backend
     /// negotiates its own partial-order reduction (see
     /// [`MemoryModel::reduced_moves`](transafety_lang::MemoryModel::reduced_moves)).
@@ -263,10 +262,12 @@ impl Analysis {
     /// race search runs first, and the behaviours of a program it proves
     /// race free are its SC behaviours (the SC-first rule of
     /// [`model`](Analysis#structfield.model)): the buffered engine runs
-    /// only on a racy program, or where the action bound cut the SC
-    /// search. When a hard bound (states, deadline, cancellation) cuts
-    /// the SC search, the partial SC set is reported, flagged bounded;
-    /// SC ⊆ TSO ⊆ PSO, so every behaviour in it is real.
+    /// only on a racy program, or on one whose race search a state cap,
+    /// deadline or cancellation cut short. When a bound cuts the SC
+    /// behaviour search, the partial SC set is reported, flagged
+    /// bounded; SC ⊆ TSO ⊆ PSO, so every behaviour in it is real. The
+    /// race search spends the shared budget first, so under a state cap
+    /// or deadline the behaviour phase gets only what it left.
     #[must_use]
     pub fn run(&self, program: &Program) -> AnalysisReport {
         self.run_with_cancel(program, CancelToken::new())
@@ -516,22 +517,15 @@ fn with_model<T: ModelTask>(
     }
 }
 
-/// The verdict path on one shared budget governor. Under SC: the
-/// behaviour evaluation, then the race search. Under TSO/PSO: the SC
-/// race search first, then the [`behaviour_phase`], which takes a race
-/// free program's behaviours from the SC search.
+/// The verdict path on one shared budget governor: [`phases`], with the
+/// race search always run.
 struct VerdictPhases<'a>(&'a ExploreOptions);
 
 impl ModelTask for VerdictPhases<'_> {
     type Output = (Bounded<Behaviours>, Option<ModelRaceWitness>);
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> Self::Output {
-        if mx.model().kind() == MemoryModelKind::Sc {
-            let behaviours = mx.behaviours_governed(self.0, guard);
-            return (behaviours, race_phase(mx, self.0, guard));
-        }
-        let race = race_phase(mx, self.0, guard);
-        (behaviour_phase(mx, self.0, guard, race.as_ref()), race)
+        phases(mx, self.0, guard, |_| true)
     }
 }
 
@@ -575,38 +569,53 @@ fn race_phase<M: MemoryModel>(
     Some(mx.model().lift_sc_witness(witness))
 }
 
-/// The behaviour phase after a race phase that answered `race`. A
-/// program the SC race search proved race free has the same behaviours
-/// on the TSO/PSO machines as under SC (§5, §8), so its set comes from
-/// the SC search on the model's own [`explorer`](MemoryModel::explorer),
-/// whose configuration cache the race search filled. When only the
-/// per-execution action bound cut that search (a loop out of fuel), the
-/// model's own engine answers instead, so a loop keeps the bounded set
-/// of the machine it runs on. When a hard bound (states, deadline,
-/// cancellation) cut it, the partial SC set is the answer, flagged
-/// bounded: SC ⊆ TSO ⊆ PSO, so every behaviour in it is real. A racy
-/// program, a program whose race search a bound cut short, and every
-/// program under SC run the model's own engine.
-fn behaviour_phase<M: MemoryModel>(
+/// The behaviours of a program the race phase proved race free: the SC
+/// behaviour search on the model's own [`explorer`](MemoryModel::explorer),
+/// whose configuration cache the race search filled. A DRF program has
+/// the same behaviours on the TSO/PSO machines as under SC (§5, §8).
+/// Where a bound cuts the search, its partial set is the answer, flagged
+/// bounded: SC ⊆ TSO ⊆ PSO, so every behaviour in it is real. Under SC
+/// this is the search on `mx` itself.
+fn sc_behaviours<M: MemoryModel>(
     mx: &ModelExplorer<'_, M>,
     opts: &ExploreOptions,
     guard: &BudgetGuard,
-    race: Option<&ModelRaceWitness>,
 ) -> Bounded<Behaviours> {
-    if race.is_some() || mx.model().kind() == MemoryModelKind::Sc || guard.should_stop() {
-        return mx.behaviours_governed(opts, guard);
+    ModelExplorer::new(&ScModel::new(mx.model().explorer())).behaviours_governed(opts, guard)
+}
+
+/// One program's behaviours and race witness on one governor, and the
+/// one place that orders the two phases. Under SC: the behaviour
+/// evaluation, then the race search if `then_races` accepts the set.
+/// Under TSO/PSO: the race search, then [`sc_behaviours`] on a program
+/// it proved race free, and the model's own engine on a racy one or
+/// after a hard bound (states, deadline, cancellation) cut the search.
+fn phases<M: MemoryModel>(
+    mx: &ModelExplorer<'_, M>,
+    opts: &ExploreOptions,
+    guard: &BudgetGuard,
+    then_races: impl FnOnce(&Bounded<Behaviours>) -> bool,
+) -> (Bounded<Behaviours>, Option<ModelRaceWitness>) {
+    if mx.model().kind() == MemoryModelKind::Sc {
+        let behaviours = mx.behaviours_governed(opts, guard);
+        let race = if then_races(&behaviours) {
+            race_phase(mx, opts, guard)
+        } else {
+            None
+        };
+        return (behaviours, race);
     }
-    let sc = ScModel::new(mx.model().explorer());
-    let behaviours = ModelExplorer::new(&sc).behaviours_governed(opts, guard);
-    if behaviours.complete || guard.should_stop() {
-        behaviours
-    } else {
+    let race = race_phase(mx, opts, guard);
+    let behaviours = if race.is_some() || guard.should_stop() {
         mx.behaviours_governed(opts, guard)
-    }
+    } else {
+        sc_behaviours(mx, opts, guard)
+    };
+    (behaviours, race)
 }
 
 /// The original side of a guarantee check: the race search, then the
-/// [`behaviour_phase`] of a program it proved race free. `Err` is the
+/// [`sc_behaviours`] of a program it proved race free. `Err` is the
 /// verdict when the search found a race or was cut short.
 struct OriginalPhases<'a>(&'a ExploreOptions);
 
@@ -620,15 +629,14 @@ impl ModelTask for OriginalPhases<'_> {
         if guard.trip_reason().is_some() {
             return Err(DrfVerdict::Inconclusive);
         }
-        Ok(behaviour_phase(mx, self.0, guard, None))
+        Ok(sc_behaviours(mx, self.0, guard))
     }
 }
 
 /// The transformed side of a guarantee check against the original's
-/// behaviours: refinement, then (if it refines) the race search. Under
-/// TSO/PSO the race search runs first, so that the [`behaviour_phase`]
-/// of a race free program is the SC search; the verdict still puts a
-/// new behaviour or an inconclusive comparison before a race.
+/// behaviours: its [`phases`], with the race search run under SC only
+/// if the behaviours refine. The verdict puts a new behaviour or an
+/// inconclusive comparison before a race.
 struct TransformedPhases<'a>(&'a ExploreOptions, &'a Bounded<Behaviours>);
 
 impl ModelTask for TransformedPhases<'_> {
@@ -636,25 +644,17 @@ impl ModelTask for TransformedPhases<'_> {
 
     fn run<M: MemoryModel>(self, mx: &ModelExplorer<'_, M>, guard: &BudgetGuard) -> DrfVerdict {
         let TransformedPhases(explore, original) = self;
-        let (behaviours, early_race) = if mx.model().kind() == MemoryModelKind::Sc {
-            (mx.behaviours_governed(explore, guard), None)
-        } else {
-            let race = race_phase(mx, explore, guard);
-            (
-                behaviour_phase(mx, explore, guard, race.as_ref()),
-                Some(race),
-            )
-        };
+        let (behaviours, race) = phases(mx, explore, guard, |b| {
+            Refinement::compare(b, original) == Refinement::Refines
+        });
         match Refinement::compare(&behaviours, original) {
             Refinement::NewBehaviour(b) => DrfVerdict::NewBehaviour(b),
             Refinement::Inconclusive => DrfVerdict::Inconclusive,
-            Refinement::Refines => {
-                match early_race.unwrap_or_else(|| race_phase(mx, explore, guard)) {
-                    Some(w) => DrfVerdict::RaceIntroduced(Box::new(w)),
-                    None if guard.trip_reason().is_none() => DrfVerdict::Holds,
-                    None => DrfVerdict::Inconclusive,
-                }
-            }
+            Refinement::Refines => match race {
+                Some(w) => DrfVerdict::RaceIntroduced(Box::new(w)),
+                None if guard.trip_reason().is_none() => DrfVerdict::Holds,
+                None => DrfVerdict::Inconclusive,
+            },
         }
     }
 }

@@ -119,3 +119,49 @@ fn two_program_answers_match_the_recorded_answers() {
         assert_eq!(got, recorded, "{name}; computed answers:\n{table}");
     }
 }
+
+/// Under a state cap, a guarantee check's phases share one budget in a
+/// fixed order. Under tso/pso each side runs its SC race search first,
+/// so the transformed program's race search spends budget before its
+/// behaviour phase, even where that phase then finds a new behaviour,
+/// and a race free original's behaviours cost the SC search. Fig. 3's
+/// read introduction (a ⇒ c can print two zeros) pins that order: a full
+/// check visits exactly those four phases' states, and the verdict at
+/// each cap below is the one this order gives. A buffered-behaviours-first
+/// order visits 103 states and answers `inconclusive` at caps 72 and 73,
+/// so the pins tell the two orders apart.
+#[test]
+fn capped_guarantee_spends_the_budget_race_phase_first() {
+    let find = |name: &str| {
+        let litmus = corpus().into_iter().find(|l| l.name == name);
+        litmus.expect(name).parse().program
+    };
+    let (original, transformed) = (find("fig3-a"), find("fig3-c"));
+    let new_behaviour = "VIOLATION: new behaviour [Value(0), Value(0)]";
+    for model in [MemoryModelKind::Tso, MemoryModelKind::Pso] {
+        let analysis = Analysis::new().model(model);
+        let full = analysis.guarantee(&transformed, &original);
+        assert_eq!(full.output.to_string(), new_behaviour, "{model}");
+        assert!(full.completeness.is_complete(), "{model}");
+        let phases = analysis.races(&original).states_explored
+            + Analysis::new().behaviours(&original).states_explored
+            + analysis.races(&transformed).states_explored
+            + analysis.behaviours(&transformed).states_explored;
+        assert_eq!(full.states_explored, phases, "{model}: states explored");
+        assert_eq!(full.states_explored, 101, "{model}: states explored");
+        for (cap, verdict, complete) in [
+            (71, "inconclusive", false),
+            (72, new_behaviour, false),
+            (99, new_behaviour, false),
+            (100, new_behaviour, true),
+        ] {
+            let capped = analysis
+                .clone()
+                .max_states(cap)
+                .guarantee(&transformed, &original);
+            let what = format!("{model} --max-states {cap}");
+            assert_eq!(capped.output.to_string(), verdict, "{what}");
+            assert_eq!(capped.completeness.is_complete(), complete, "{what}");
+        }
+    }
+}

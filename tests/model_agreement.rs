@@ -449,11 +449,11 @@ fn behaviour_states<M: MemoryModel>(
 /// `Analysis::run` on one buffered machine. Wherever the engine, called
 /// directly, completes or only the action bound cuts it, and the run's
 /// race phase decided the program, `run` must report the engine's set
-/// and completeness flag. Its states must be the race phase's, then the
-/// SC search's on a race free program, then the buffered engine's on a
-/// racy one or where the action bound cut the SC search. Returns whether
-/// the sets were compared, and whether the compared program is race free
-/// and its set complete.
+/// and completeness flag, including where the action bound cut both
+/// the SC search and the engine. Its states must be the race phase's,
+/// then the SC search's on a race free program or the buffered engine's
+/// on a racy one. Returns whether the sets were compared, and whether
+/// the compared program is race free and its set complete.
 fn assert_sc_first_behaviour_phase<M: MemoryModel>(
     machine: &M,
     program: &Program,
@@ -482,15 +482,14 @@ fn assert_sc_first_behaviour_phase<M: MemoryModel>(
     if compared {
         assert_eq!(run.behaviours, oracle, "{what}: behaviour set");
         assert_eq!(run.race.is_some(), !drf, "{what}: race verdict");
-        let buffered_states = if drf {
-            let (sc, sc_states, _) = behaviour_states(&ScModel::new(machine.explorer()), &analysis);
-            sc_states + if sc.complete { 0 } else { oracle_states }
+        let phase_states = if drf {
+            behaviour_states(&ScModel::new(machine.explorer()), &analysis).1
         } else {
             oracle_states
         };
         assert_eq!(
             run.stats.states_visited,
-            races.stats.states_visited + buffered_states,
+            races.stats.states_visited + phase_states,
             "{what}: states visited"
         );
     }
