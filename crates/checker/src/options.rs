@@ -68,16 +68,18 @@ pub struct Analysis {
     /// races on those machines iff it races under SC (§5, §8), and the
     /// SC search is reduced and exact on loops. Its witness is lifted to
     /// the machine, every store flushed right after it is buffered (see
-    /// [`MemoryModel::lift_sc_witness`](transafety_lang::MemoryModel::lift_sc_witness)).
+    /// [`ModelExplorer::lift_sc_witness`](transafety_lang::ModelExplorer::lift_sc_witness)).
     /// The SC-first rule carries over to the behaviours in
     /// [`run`](Analysis::run) and [`guarantee`](Analysis::guarantee): a
     /// program the race phase proves race free has the same behaviours
     /// on the machines as under SC, so its set comes from the SC
     /// behaviour search, flagged bounded wherever a bound cut that
     /// search. A racy program's set comes from the buffered engine.
-    /// All budgets and metrics apply uniformly; each backend
-    /// negotiates its own partial-order reduction (see
-    /// [`MemoryModel::reduced_moves`](transafety_lang::MemoryModel::reduced_moves)).
+    /// All budgets and metrics apply uniformly, and every model runs the
+    /// one move generator and partial-order reduction of
+    /// [`ModelExplorer`](transafety_lang::ModelExplorer): a backend
+    /// supplies only its memory layer, and SC is the machine whose store
+    /// buffers are always empty.
     pub model: MemoryModelKind,
     /// Worker threads, `1` by default. The verdict phases and the
     /// census run the sequential engine at every value; higher values
@@ -553,8 +555,8 @@ impl ModelTask for RacePhase<'_> {
 }
 
 /// The race phase under every model: the SC race search on the model's
-/// own [`explorer`](MemoryModel::explorer), whose witness the model
-/// lifts to its own machine ([`MemoryModel::lift_sc_witness`]). A
+/// own [`explorer`](MemoryModel::explorer), whose witness is lifted to
+/// the model's machine ([`ModelExplorer::lift_sc_witness`]). A
 /// program races on the TSO/PSO machines iff it races under SC (§5,
 /// §8), and the SC search is reduced and exact on loops where the
 /// buffered one is neither. Under SC this is the search on `mx` itself,
@@ -566,7 +568,7 @@ fn race_phase<M: MemoryModel>(
 ) -> Option<ModelRaceWitness> {
     let sc = ScModel::new(mx.model().explorer());
     let witness = ModelExplorer::new(&sc).race_witness_governed(opts, guard)?;
-    Some(mx.model().lift_sc_witness(witness))
+    Some(mx.lift_sc_witness(witness))
 }
 
 /// The behaviours of a program the race phase proved race free: the SC

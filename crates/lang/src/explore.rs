@@ -16,8 +16,9 @@
 //! emitting step, so the hot move loop never re-runs `tau_closure` (the
 //! old engine ran it twice per read) and never clones configurations.
 //! The cache is the one thread layer of every memory model: the TSO and
-//! PSO machines of `transafety-tso` own a `ProgramExplorer` and step
-//! their threads through the same table ([`Configs`]). A machine state is a
+//! PSO machines of `transafety-tso` own a `ProgramExplorer`, and the
+//! generic move generator of [`ModelExplorer`] steps their threads
+//! through the same table ([`Configs`]). The SC machine state is a
 //! compact word buffer ([`CState`]): per-thread cfg ids, dense memory
 //! values indexed by pre-computed location ids, a written bitmap (the
 //! old `BTreeMap` distinguished never-written from written-zero), and an
@@ -32,9 +33,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use transafety_interleaving::intern::{
-    FxHashMap, FxHashSet, InternAudit, ScratchPool, StateInterner,
-};
+use transafety_interleaving::intern::{FxHashMap, FxHashSet, InternAudit, StateInterner};
 use transafety_interleaving::metrics::ExpansionKind;
 use transafety_interleaving::{Behaviours, BudgetGuard, Event, Interleaving, RaceWitness};
 use transafety_traces::{Action, Domain, Loc, Monitor, ThreadId, Value};
@@ -65,7 +64,8 @@ pub struct ExploreOptions {
     pub por: bool,
     /// Apply the await-aware stutter reduction to the behaviour phase
     /// (default: `true`). A failed re-read inside a recognised await
-    /// loop (see [`CfgMeta::awaits`]) maps the state to itself; such
+    /// loop (a `while` whose body is exactly one shared load, plus
+    /// `skip` and block structure) maps the state to itself; such
     /// self-loop moves are dropped, so a spinning thread sleeps until a
     /// write changes the watched location (value-change wakeup — the
     /// moves are recomputed per state, so any memory change re-enables
@@ -138,7 +138,9 @@ pub struct ProgramExplorer<'p> {
     cache: Mutex<CfgCache>,
 }
 
-/// The id of an interned thread configuration (see [`Configs`]).
+/// The id of an interned thread configuration in a
+/// [`ProgramExplorer`]'s configuration table, which every memory model
+/// stores its threads as.
 pub type CfgId = u32;
 
 /// The cfg-id word of a thread that has not started yet.
@@ -169,14 +171,10 @@ struct CfgCache {
 /// continuation's AST size (the well-founded measure of the cycle
 /// proviso). A pure function of the code, memoised per interned cfg id,
 /// so the reduced move choice stays a pure function of the state and
-/// memoisation remains exact.
-///
-/// Public so other memory-model backends (the TSO/PSO machines of
-/// `transafety-tso`) can run the same dynamic-invisibility and
-/// cycle-proviso arguments over the configurations they store
-/// ([`Configs::meta`]).
+/// memoisation remains exact. The one reduction of [`ModelExplorer`]
+/// reads it for every memory model ([`Configs::meta`]).
 #[derive(Debug, Default)]
-pub struct CfgMeta {
+pub(crate) struct CfgMeta {
     /// Locations the remaining code can still write.
     pub writes: std::collections::BTreeSet<Loc>,
     /// Locations the remaining code can still read or write.
@@ -200,8 +198,7 @@ pub struct CfgMeta {
 
 impl CfgMeta {
     /// Computes the footprint of a remaining-code statement list.
-    #[must_use]
-    pub fn of_code(code: &[crate::ast::Stmt]) -> CfgMeta {
+    fn of_code(code: &[crate::ast::Stmt]) -> CfgMeta {
         let mut m = CfgMeta::default();
         for s in code {
             m.absorb(s);
@@ -336,7 +333,8 @@ pub struct ThreadMove {
 /// The thread layer of the §6 semantics is the same under every memory
 /// model: the TSO and PSO machines of `transafety-tso` add store
 /// buffers to the *memory* only. So every model stores its threads as
-/// the cfg ids of this one table and steps them through it. Each
+/// the cfg ids of this one table, and [`ModelExplorer`]'s move generator
+/// steps them through it. Each
 /// distinct τ-closed [`ThreadConfig`] gets a dense id in first-seen
 /// order, and per id the table memoises the closure step, the read
 /// successors and the [`CfgMeta`] footprint. Silent steps are
@@ -344,7 +342,7 @@ pub struct ThreadMove {
 /// identifies configurations that differ only in silent progress, under
 /// every model alike.
 #[derive(Debug)]
-pub struct Configs<'a> {
+pub(crate) struct Configs<'a> {
     cache: MutexGuard<'a, CfgCache>,
 }
 
@@ -355,7 +353,7 @@ impl Configs<'_> {
     /// disables it); any other action is enabled when `enabled` says
     /// so. Sets `*truncated` when the thread silently diverges (it then
     /// has no move).
-    pub fn thread_move(
+    pub(crate) fn thread_move(
         &mut self,
         thread: usize,
         slot: CfgId,
@@ -401,7 +399,7 @@ impl Configs<'_> {
 
     /// The [`CfgMeta`] of thread `thread`'s remaining code when its slot
     /// holds `slot`: the whole (τ-closed) body before its start move.
-    pub fn meta(&mut self, thread: usize, slot: CfgId) -> Arc<CfgMeta> {
+    pub(crate) fn meta(&mut self, thread: usize, slot: CfgId) -> Arc<CfgMeta> {
         let id = match slot {
             NOT_STARTED => self.cache.initial[thread],
             id => id,
@@ -423,7 +421,7 @@ impl Configs<'_> {
     /// guard register). Never used by the race phase: a spin read can
     /// race, and the representative failed read must stay adjacent to
     /// every write of the watched location.
-    pub fn collapse_awaits<T>(
+    pub(crate) fn collapse_awaits<T>(
         &mut self,
         moves: &mut Vec<T>,
         act: impl Fn(&T) -> Option<(ThreadMove, CfgId)>,
@@ -633,9 +631,14 @@ impl<'p> ProgramExplorer<'p> {
                 .expect("monitor in the program's universe")
     }
 
-    fn mem(&self, state: &CState, loc: Loc) -> Value {
+    pub(crate) fn mem(&self, state: &CState, loc: Loc) -> Value {
         // Unwritten cells hold the zero word — exactly the read default.
         Value::new(state.words[self.mem_base() + self.loc_index(loc)])
+    }
+
+    pub(crate) fn holder(&self, state: &CState, m: Monitor) -> Option<usize> {
+        // Holder words store `holder + 1`; `0` is free.
+        (state.words[self.holder_slot(m)] as usize).checked_sub(1)
     }
 
     pub(crate) fn initial_compact(&self) -> CState {
@@ -658,8 +661,7 @@ impl<'p> ProgramExplorer<'p> {
     /// for the silent-step bound `max_tau` first if it was built for
     /// another. Cfg ids stay valid while the bound stays the same, which
     /// it does for the whole of one exploration.
-    #[must_use]
-    pub fn configs(&self, max_tau: usize) -> Configs<'_> {
+    pub(crate) fn configs(&self, max_tau: usize) -> Configs<'_> {
         // Recover from poisoning: a panic caught further up must not
         // take later analyses of this explorer down with it, and the
         // cache is only ever extended, never left half-updated.
@@ -678,86 +680,7 @@ impl<'p> ProgramExplorer<'p> {
         Configs { cache }
     }
 
-    // -- moves and transitions ----------------------------------------
-
-    /// Enabled moves at `state`, appended to the caller's (cleared)
-    /// scratch buffer; sets `*truncated` when a thread silently diverges
-    /// (its moves are then dropped).
-    pub(crate) fn moves_into(
-        &self,
-        cfgs: &mut Configs<'_>,
-        state: &CState,
-        out: &mut Vec<ThreadMove>,
-        truncated: &mut bool,
-    ) {
-        out.clear();
-        for k in 0..self.program.thread_count() {
-            let mv = cfgs.thread_move(
-                k,
-                state.words[k],
-                |loc| Some(self.mem(state, loc)),
-                |action| match *action {
-                    Action::Lock(m) => {
-                        let h = state.words[self.holder_slot(m)];
-                        h == 0 || h as usize == k + 1
-                    }
-                    _ => true,
-                },
-                truncated,
-            );
-            out.extend(mv);
-        }
-    }
-
-    /// Reduces the enabled moves in `moves` to the ample set of the
-    /// dynamic partial-order reduction, or leaves them all when no
-    /// reduction applies (or `opts.por` is off).
-    ///
-    /// Each thread has at most one enabled move here (the program
-    /// semantics are deterministic per thread given the memory), and a
-    /// move that is [dynamically invisible](ProgramExplorer::invisible_dyn)
-    /// is *stable*: no move any other thread can **still** perform
-    /// changes, disables, observes or conflicts with it. The
-    /// lowest-indexed thread with an invisible enabled move that also
-    /// passes the [ast-size cycle proviso](ProgramExplorer::proviso_ok)
-    /// forms a singleton ample set; the proviso guarantees every cycle
-    /// of the reduced state graph contains a fully expanded state, so
-    /// the reduction is sound on loop-bearing programs (no ignoring
-    /// problem). The choice is a pure function of the state, keeping
-    /// memoisation exact.
-    ///
-    /// Returns how the expansion was reduced (metrics distinguish ample
-    /// hits, proviso-forced full expansions and plain full expansions).
-    pub(crate) fn por_reduce(
-        &self,
-        cfgs: &mut Configs<'_>,
-        state: &CState,
-        opts: &ExploreOptions,
-        moves: &mut Vec<ThreadMove>,
-    ) -> ExpansionKind {
-        if !opts.por {
-            return ExpansionKind::Full;
-        }
-        // `moves` lists threads in ascending index order.
-        let mut saw_invisible = false;
-        for pos in 0..moves.len() {
-            let mv = moves[pos];
-            if !self.invisible_dyn(cfgs, state, mv.thread, &mv.action) {
-                continue;
-            }
-            saw_invisible = true;
-            if self.proviso_ok(cfgs, state, &mv) {
-                moves.clear();
-                moves.push(mv);
-                return ExpansionKind::Ample;
-            }
-        }
-        if saw_invisible {
-            ExpansionKind::FullProviso
-        } else {
-            ExpansionKind::Full
-        }
-    }
+    // -- transitions ---------------------------------------------------
 
     /// Applies a move: clone the parent's word buffer and patch the
     /// affected words (no config clones, no tree rebuilds).
@@ -779,62 +702,6 @@ impl<'p> ProgramExplorer<'p> {
             _ => {}
         }
         CState { words }
-    }
-
-    /// Is `a`, performed by thread `k`, *dynamically invisible* at
-    /// `state`: guaranteed — by the suffix footprints of the **other
-    /// threads' remaining code** — to neither synchronise nor conflict
-    /// with anything any other thread can still do, and to commute with
-    /// every move any other thread can still make? Unlike the
-    /// whole-program static predicate this retires as threads advance:
-    /// a location stops being contended the moment its last foreign
-    /// accessor has moved past its accesses, and a lock or `print`
-    /// becomes invisible once no *other* thread can ever use the
-    /// monitor or emit output again (output order is then fixed by
-    /// program order). Mirrors
-    /// `transafety_interleaving::Explorer`'s predicate; see
-    /// `docs/paper-mapping.md` for the soundness argument.
-    fn invisible_dyn(&self, cfgs: &mut Configs<'_>, state: &CState, k: usize, a: &Action) -> bool {
-        match *a {
-            Action::Start(_) => return true,
-            Action::Read { loc, .. } | Action::Write { loc, .. } if loc.is_volatile() => {
-                return false;
-            }
-            _ => {}
-        }
-        for j in 0..self.program.thread_count() {
-            if j == k {
-                continue;
-            }
-            let m = cfgs.meta(j, state.words[j]);
-            let conflicts = match *a {
-                Action::Start(_) => false,
-                Action::Read { loc, .. } => m.writes.contains(&loc),
-                Action::Write { loc, .. } => m.accesses.contains(&loc),
-                Action::Lock(mon) | Action::Unlock(mon) => m.monitors.contains(&mon),
-                Action::External(_) => m.externals,
-            };
-            if conflicts {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The ast-size cycle proviso: may `mv` be an ample singleton
-    /// without risking the ignoring problem? `Start` moves are one-shot
-    /// (a thread starts at most once), and every other ample move must
-    /// strictly shrink the moving thread's remaining AST — so the sum
-    /// of remaining sizes is a well-founded measure that strictly
-    /// decreases along any ample-only path, and every cycle of the
-    /// reduced state graph (a loop iteration maps a configuration back
-    /// to itself, size unchanged) contains a fully expanded state.
-    fn proviso_ok(&self, cfgs: &mut Configs<'_>, state: &CState, mv: &ThreadMove) -> bool {
-        if matches!(mv.action, Action::Start(_)) {
-            return true;
-        }
-        let cur = cfgs.meta(mv.thread, state.words[mv.thread]).ast_size;
-        cfgs.meta(mv.thread, mv.next_cfg).ast_size < cur
     }
 
     /// The behaviours of the program's executions, by memoised dynamic
@@ -929,10 +796,10 @@ impl<'p> ProgramExplorer<'p> {
     ) -> Option<Interleaving> {
         let mut interner: StateInterner<CState> = StateInterner::new();
         let mut visited: FxHashSet<(u32, usize)> = FxHashSet::default();
-        let mut scratch: ScratchPool<ThreadMove> = ScratchPool::new();
         let mut path: Vec<Event> = Vec::new();
         let mut truncated = false;
         self.behaviour_dfs(
+            &ModelExplorer::new(&ScModel::new(self)),
             self.initial_compact(),
             behaviour,
             0,
@@ -940,15 +807,18 @@ impl<'p> ProgramExplorer<'p> {
             &mut interner,
             &mut visited,
             &mut path,
-            &mut scratch,
             &mut truncated,
         )
         .then(|| Interleaving::from_events(path))
     }
 
+    /// The unreduced depth-first search behind
+    /// [`execution_with_behaviour`](ProgramExplorer::execution_with_behaviour),
+    /// stepping through the generic move generator.
     #[allow(clippy::too_many_arguments)]
     fn behaviour_dfs(
         &self,
+        mx: &ModelExplorer<'_, ScModel<'_, '_>>,
         state: CState,
         target: &[Value],
         emitted: usize,
@@ -956,7 +826,6 @@ impl<'p> ProgramExplorer<'p> {
         interner: &mut StateInterner<CState>,
         visited: &mut FxHashSet<(u32, usize)>,
         path: &mut Vec<Event>,
-        scratch: &mut ScratchPool<ThreadMove>,
         truncated: &mut bool,
     ) -> bool {
         if emitted == target.len() {
@@ -969,10 +838,9 @@ impl<'p> ProgramExplorer<'p> {
         if !visited.insert((id, emitted)) {
             return false;
         }
-        let mut buf = scratch.take();
-        self.moves_into(&mut self.configs(opts.max_tau), &state, &mut buf, truncated);
-        for &mv in buf.iter() {
-            let next_emitted = match mv.action {
+        for mv in mx.moves(&state, opts, truncated) {
+            let action = mv.label.action().expect("SC moves are actions");
+            let next_emitted = match action {
                 Action::External(v) => {
                     if target.get(emitted) != Some(&v) {
                         continue; // wrong output — prune this branch
@@ -981,24 +849,22 @@ impl<'p> ProgramExplorer<'p> {
                 }
                 _ => emitted,
             };
-            path.push(Event::new(ThreadId::new(mv.thread as u32), mv.action));
-            let succ = self.apply(&state, &mv);
+            path.push(Event::new(ThreadId::new(mv.thread as u32), action));
             if self.behaviour_dfs(
-                succ,
+                mx,
+                mv.next,
                 target,
                 next_emitted,
                 opts,
                 interner,
                 visited,
                 path,
-                scratch,
                 truncated,
             ) {
                 return true;
             }
             path.pop();
         }
-        scratch.put(buf);
         false
     }
 
@@ -1186,8 +1052,8 @@ impl<'p> ProgramExplorer<'p> {
         out
     }
 
-    /// The reference-engine mirror of
-    /// [`por_reduce`](ProgramExplorer::por_reduce): the same
+    /// The reference-engine mirror of the SC reduction of
+    /// [`ModelExplorer`]: the same
     /// dynamic invisibility predicate and ast-size proviso, computed
     /// directly from the uncompressed configurations (no memo), so the
     /// two engines select bit-identical ample sets.
@@ -1282,7 +1148,7 @@ impl<'p> ProgramExplorer<'p> {
     /// The reference-engine mirror of the behaviour-phase move set:
     /// [`ref_por_moves`](ProgramExplorer::ref_por_moves) plus the same
     /// await stutter collapse as
-    /// [`collapse_awaits`](ProgramExplorer::collapse_awaits), computed
+    /// [`collapse_awaits`](Configs::collapse_awaits), computed
     /// directly on the uncompressed configurations (successor configs
     /// are already τ-normalised, so `next == current` is exactly the
     /// compact engine's `next_cfg == cur`). Only the behaviour suffix
@@ -1532,6 +1398,8 @@ impl<'p> ProgramExplorer<'p> {
             capped: false,
         };
         let mut truncated = false;
+        let sc = ScModel::new(self);
+        let mx = ModelExplorer::new(&sc);
         while let Some((cs, rs)) = stack.pop() {
             let (cid, fresh) = interner.intern_ref(&cs);
             let ref_fresh = !rmap.contains_key(&rs);
@@ -1559,21 +1427,20 @@ impl<'p> ProgramExplorer<'p> {
                 audit.capped = true;
                 break;
             }
-            let mut cmoves = Vec::new();
-            self.moves_into(&mut cfgs, &cs, &mut cmoves, &mut truncated);
             drop(cfgs);
+            let cmoves = mx.moves(&cs, opts, &mut truncated);
             let rmoves = self.ref_moves(&rs, opts, &mut truncated);
             let agree = cmoves.len() == rmoves.len()
                 && cmoves
                     .iter()
                     .zip(&rmoves)
-                    .all(|(a, b)| a.thread == b.thread && a.action == b.action);
+                    .all(|(a, b)| a.thread == b.thread && a.label.action() == Some(b.action));
             if !agree {
                 audit.bijective = false;
                 continue;
             }
-            for (cm, rm) in cmoves.iter().zip(&rmoves) {
-                stack.push((self.apply(&cs, cm), self.ref_apply(&rs, rm)));
+            for (cm, rm) in cmoves.into_iter().zip(&rmoves) {
+                stack.push((cm.next, self.ref_apply(&rs, rm)));
             }
         }
         audit
@@ -1657,7 +1524,7 @@ fn program_has_loops(p: &Program) -> bool {
 }
 
 /// Is every `while` loop of the program await-shaped (body = one shared
-/// load plus `skip`/block structure; see [`CfgMeta::awaits`])? When
+/// load plus `skip`/block structure)? When
 /// true and the await reduction is on, the behaviour phase runs without
 /// an action bound: every statement outside a loop is consumed
 /// permanently, await bodies write nothing, and the collapse removes

@@ -31,12 +31,12 @@ mod semantics;
 
 pub use ast::{Cond, Operand, Program, Reg, Stmt};
 pub use explore::{
-    program_loops_are_awaits, Bounded, CfgId, CfgMeta, Configs, ExploreOptions, ProgramExplorer,
-    ThreadMove, NOT_STARTED,
+    program_loops_are_awaits, Bounded, CfgId, ExploreOptions, ProgramExplorer, ThreadMove,
+    NOT_STARTED,
 };
 pub use model::{
-    MemoryModel, ModelExplorer, ModelMove, ModelRaceWitness, MoveLabel, Reduced, ReductionGoal,
-    ScModel, ScheduleStep,
+    MachineMove, MemoryModel, ModelExplorer, ModelMove, ModelRaceWitness, MoveLabel, ScModel,
+    ScheduleStep,
 };
 pub use parser::{
     parse_program, parse_program_with_symbols, ParseProgramError, SourceProgram, SymbolTable,

@@ -1,53 +1,75 @@
 //! The pluggable memory-model backend API.
 //!
 //! The paper's development is carried out under the interleaving (SC)
-//! semantics, and until this module every explorer hard-coded it. §8
-//! observes that hardware models (TSO, and conjecturally PSO) are
-//! *explained by* SC plus a fragment of the paper's transformations —
-//! which makes cross-model exploration a first-class need: the same
-//! checker machinery must be able to run a program under SC, TSO or PSO
-//! and compare the verdicts.
+//! semantics. §8 observes that hardware models (TSO, and conjecturally
+//! PSO) are SC plus store buffers, and that they are *explained by* SC
+//! plus a fragment of the paper's transformations — which makes
+//! cross-model exploration a first-class need: the same checker
+//! machinery must be able to run a program under SC, TSO or PSO and
+//! compare the verdicts.
 //!
-//! [`MemoryModel`] abstracts exactly what the engines need from a
-//! semantics: an initial machine state, the enabled successor moves of
-//! a state (each carrying an optional [`Action`] label — buffer flushes
-//! are unlabelled), the fuel policy that bounds loopy programs, and the
-//! program's SC explorer, whose configuration table every model's
-//! threads step through ([`MemoryModel::explorer`]). The
-//! generic [`ModelExplorer`] then provides the governed engines —
-//! memoised behaviour extraction, the adjacent-conflict race search and
-//! the reachable-state census — with the same budget checks, state
-//! interning and `ExploreMetrics` accounting for every model. The
-//! `*_par_governed` entry points are shims over the same sequential
-//! engines (see [`ModelExplorer::behaviours_par_governed`]).
+//! A [`MemoryModel`] supplies only the memory layer of a machine: its
+//! states, the configuration slot of each thread, the value a thread
+//! reads, the monitor holders, which stores each thread has buffered,
+//! the enabled buffer flushes, and how a move changes a state. The
+//! threads are the same under every model: each steps through the
+//! configuration table of the program's SC explorer
+//! ([`MemoryModel::explorer`]). SC is the degenerate machine whose store
+//! buffers are always empty: nothing is buffered, every thread is
+//! drained, and no flush is ever enabled.
 //!
-//! The [`ScModel`] backend is a pure refactor of the compact SC engine:
-//! [`ProgramExplorer`]'s public entry points delegate to
-//! `ModelExplorer<ScModel>`, and the pre-existing agreement suites
-//! (POR/reference/metrics) pin the refactor to the old
-//! engines' observable output. The TSO and PSO machines of the
-//! `transafety-tso` crate implement the trait in that crate, over the
-//! program's own `ProgramExplorer`: every model steps its threads
-//! through that explorer's configuration table
-//! ([`Configs`](crate::Configs)) and reaches it through
-//! [`MemoryModel::explorer`].
+//! Everything else is one generic implementation in [`ModelExplorer`],
+//! which no backend overrides: the move generator with its fence rule,
+//! the partial-order reduction and the await stutter collapse, the fuel
+//! policy, the lift of an SC race witness to a buffered schedule, and
+//! the governed engines over them — memoised behaviour extraction, the
+//! adjacent-conflict race search and the reachable-state census — with
+//! the same budget checks, state interning and `ExploreMetrics`
+//! accounting for every model. The `*_par_governed` entry points are
+//! shims over the same sequential engines (see
+//! [`ModelExplorer::behaviours_par_governed`]).
 //!
-//! Partial-order reduction is **negotiated per model and per goal**:
-//! [`MemoryModel::reduced_moves`] receives a [`ReductionGoal`] naming
-//! the property the engine is computing and returns a possibly-reduced
-//! move set tagged with its [`ExpansionKind`]. The default is no
-//! reduction. The SC backend reduces both goals with the dynamic
-//! invisible-singleton ample sets of [`ProgramExplorer`] (sound on
-//! loop-bearing programs via the ast-size cycle proviso); the TSO/PSO
-//! backends reduce only [`ReductionGoal::Behaviours`] (commuting-flush
-//! and private-step ample sets) and return the full expansion for
-//! [`ReductionGoal::Races`] — the adjacent-conflict witness argument
-//! relies on flush-free interposition, which only full race expansions
-//! guarantee under a buffered machine. That unreduced, fuel-bounded
-//! buffered race search is the oracle; the checker answers the race
-//! question under every model with the SC search and lifts its witness
-//! ([`MemoryModel::lift_sc_witness`]). The census never reduces: it
-//! counts *all* reachable states by definition.
+//! # Partial-order reduction
+//!
+//! One reduction serves every model. It picks a singleton ample set, or
+//! keeps the full expansion:
+//!
+//! 1. **Commuting flush** ([`ExpansionKind::AmpleFlush`]): a flush by
+//!    thread `k` of location `l` when no other thread has `l` in its
+//!    remaining-code footprint or in its own buffer. Store-to-load
+//!    forwarding makes the drain invisible to `k`'s own reads, and the
+//!    condition excludes every other observer, so the flush commutes
+//!    with all concurrently reachable moves; it strictly shrinks a
+//!    buffer, so it can never close a cycle.
+//! 2. **Invisible act** ([`ExpansionKind::Ample`]): the lowest-indexed
+//!    thread whose move is *dynamically invisible* — guaranteed, by the
+//!    suffix footprints of the other threads' remaining code and by
+//!    their buffers, to neither synchronise nor conflict with anything
+//!    another thread can still do — and passes the ast-size cycle
+//!    proviso. A non-volatile write is invisible when the machine
+//!    buffers it or no other thread accesses its location; a read
+//!    forwarded from the reader's own buffer is not invisible on that
+//!    ground alone (the C1 argument is at the predicate).
+//!
+//! Every ample move strictly decreases the measure
+//! `Σ 2·ast_size + Σ buffered stores` (a start move fires at most once
+//! per thread), so no cycle of the reduced graph is ample-only and the
+//! ignoring problem cannot arise: the reduction is sound on
+//! loop-bearing programs. Under SC the race search is reduced with the
+//! same ample sets: there are no flushes, so the race-goal witness
+//! argument (check-before-carry plus reorder) holds for the ample sets
+//! that preserve behaviours. On a buffered machine the race search gets
+//! the full expansion: the adjacent-conflict witness argument needs the
+//! tracked access and the racing access to be separated only by moves
+//! that never touch their location, and an ample flush of that very
+//! location would change the read values (and can enable or disable the
+//! fence actions) of the reordered witness.
+//!
+//! That unreduced, fuel-bounded buffered race search is the oracle; the
+//! checker answers the race question under every model with the SC
+//! search and lifts its witness ([`ModelExplorer::lift_sc_witness`]).
+//! The census never reduces: it counts *all* reachable states by
+//! definition.
 
 use std::fmt;
 use std::hash::Hash;
@@ -56,9 +78,11 @@ use std::sync::Arc;
 use transafety_interleaving::intern::{FxHashMap, FxHashSet, StateInterner};
 use transafety_interleaving::metrics::{Counter, CounterTally, ExpansionKind, Phase};
 use transafety_interleaving::{Behaviours, BudgetGuard, Event, Interleaving, RaceWitness};
-use transafety_traces::{Action, Loc, MemoryModelKind, ThreadId};
+use transafety_traces::{Action, Loc, MemoryModelKind, Monitor, ThreadId, Value};
 
-use crate::explore::{Bounded, CState, ExploreOptions, ProgramExplorer, ThreadMove};
+use crate::explore::{
+    Bounded, CState, CfgId, CfgMeta, Configs, ExploreOptions, ProgramExplorer, ThreadMove,
+};
 
 /// The label of a machine transition: a program action, or an internal
 /// store-buffer flush that performs no action.
@@ -114,12 +138,29 @@ pub struct ModelMove<S> {
     pub next: S,
 }
 
-/// The property an engine is computing when it asks a model for a
-/// reduced move set. Soundness of a reduction depends on the goal: a
-/// reduction that preserves the behaviour set need not preserve the
-/// adjacent-conflict race witnesses, so models opt in per goal.
+/// One enabled move of a machine, before it is applied: a thread's
+/// start or action, or the drain of one buffered store.
+#[derive(Debug, Clone, Copy)]
+pub enum MachineMove {
+    /// A thread starts, or performs an action (a read already resolved
+    /// to the value [`MemoryModel::read_value`] gave it).
+    Act(ThreadMove),
+    /// A buffered store of `thread` to `loc` drains to memory (under
+    /// TSO, the oldest one of its FIFO buffer).
+    Flush {
+        /// The buffering thread.
+        thread: usize,
+        /// The location the drained store writes.
+        loc: Loc,
+    },
+}
+
+/// The property an engine is computing when it reduces a move set.
+/// Soundness of a reduction depends on the goal: a reduction that
+/// preserves the behaviour set need not preserve the adjacent-conflict
+/// race witnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReductionGoal {
+enum ReductionGoal {
     /// The engine collects external-action behaviours. A reduction must
     /// preserve the set of observable output sequences.
     Behaviours,
@@ -127,58 +168,38 @@ pub enum ReductionGoal {
     /// must additionally keep every racing pair detectable through the
     /// last-access tracker and witness-reorderable into adjacency —
     /// under a buffered machine this forbids dropping or interposing
-    /// flushes around the tracked access, so TSO/PSO answer with the
-    /// full expansion.
+    /// flushes around the tracked access, so those get the full
+    /// expansion.
     Races,
 }
 
-/// A reduced move set, as returned by
-/// [`MemoryModel::reduced_moves`]: the moves, the [`ExpansionKind`]
-/// describing what the partial-order reduction did, and the await
-/// stutter-collapse tallies of the behaviour goal (see
-/// [`ExploreOptions::awaits`]). The collapse is orthogonal to the POR:
-/// `kind` describes the ample-set choice only, and a state whose
-/// self-loop reads were dropped still reports the kind the POR
-/// selected.
-#[derive(Debug)]
-pub struct Reduced<S> {
-    /// The (possibly reduced) enabled moves.
-    pub moves: Vec<ModelMove<S>>,
-    /// How the partial-order reduction treated this expansion.
-    pub kind: ExpansionKind,
-    /// Failed await re-reads dropped by the stutter collapse (zero for
-    /// [`ReductionGoal::Races`], which never collapses).
-    pub await_collapsed: u64,
-    /// Kept reads on an await-watched location (the spinner advanced).
-    pub await_wakeups: u64,
+/// A reduced move set: the moves, the [`ExpansionKind`] describing what
+/// the partial-order reduction did, and the await stutter-collapse
+/// tallies of the behaviour goal (see [`ExploreOptions::awaits`]). The
+/// collapse runs after the reduction: `kind` describes the ample-set
+/// choice only, and a state whose self-loop reads were dropped still
+/// reports the kind the reduction selected.
+struct Reduced<S> {
+    moves: Vec<ModelMove<S>>,
+    kind: ExpansionKind,
+    await_collapsed: u64,
+    await_wakeups: u64,
 }
 
-impl<S> Reduced<S> {
-    /// A reduction result with no await collapse applied.
-    #[must_use]
-    pub fn new(moves: Vec<ModelMove<S>>, kind: ExpansionKind) -> Self {
-        Reduced {
-            moves,
-            kind,
-            await_collapsed: 0,
-            await_wakeups: 0,
-        }
-    }
-
-    /// An unreduced full expansion.
-    #[must_use]
-    pub fn full(moves: Vec<ModelMove<S>>) -> Self {
-        Reduced::new(moves, ExpansionKind::Full)
-    }
-}
-
-/// A memory model as the exploration engines see it: machine states,
-/// enabled moves, and the fuel policy.
+/// A memory model as the exploration engines see it: the memory layer
+/// of a machine whose threads step through the program's configuration
+/// table. The generic [`ModelExplorer`] builds the moves, the reduction,
+/// the fuel policy and the engines from these answers alone.
 ///
-/// Implementations must be deterministic: equal states must produce
-/// equal move lists (the engines memoise and deduplicate on state
-/// identity), and the move order must be a pure function of the state
-/// (it fixes the exploration and witness order).
+/// "Buffered" means [`kind`](MemoryModel::kind) is not
+/// [`MemoryModelKind::Sc`]. An SC backend answers that nothing is
+/// buffered, every thread is drained and no flush is enabled.
+///
+/// Implementations must be deterministic: equal states must give equal
+/// answers (the engines memoise and deduplicate on state identity), and
+/// [`flushes`](MemoryModel::flushes) must list the flushes in an order
+/// that is a pure function of the state (it fixes the exploration and
+/// witness order).
 pub trait MemoryModel {
     /// The machine state.
     type State: Clone + Eq + Hash;
@@ -186,78 +207,49 @@ pub trait MemoryModel {
     /// Which model this is (recorded in reports and stats).
     fn kind(&self) -> MemoryModelKind;
 
+    /// The SC explorer of the program this model explores. Its
+    /// configuration table holds every thread configuration the
+    /// machine stores, and its race search answers the race question
+    /// under every model (see
+    /// [`lift_sc_witness`](ModelExplorer::lift_sc_witness)), so the
+    /// phases of one analysis intern each configuration once.
+    fn explorer(&self) -> &ProgramExplorer<'_>;
+
     /// The initial machine state (no thread started, memory zeroed,
     /// buffers empty).
     fn initial(&self) -> Self::State;
 
-    /// All enabled moves of `state`, in deterministic order. Sets
-    /// `*truncated` when a thread silently diverges within
-    /// `opts.max_tau` (its moves are dropped).
-    fn moves(
-        &self,
-        state: &Self::State,
-        opts: &ExploreOptions,
-        truncated: &mut bool,
-    ) -> Vec<ModelMove<Self::State>>;
+    /// The configuration slot of thread `k`: its id in the explorer's
+    /// configuration table, or [`NOT_STARTED`](crate::NOT_STARTED).
+    fn cfg(&self, state: &Self::State, k: usize) -> CfgId;
 
-    /// The reduced move set for `goal`, tagged with the
-    /// [`ExpansionKind`] that describes what the reduction did and the
-    /// await stutter-collapse tallies.
-    ///
-    /// The default is **no reduction** for every goal: a model only
-    /// overrides this where its ample-set argument is proven. Overrides
-    /// must honour `opts.por == false` by returning the full expansion,
-    /// and `opts.awaits == false` by not collapsing; the await collapse
-    /// applies only to [`ReductionGoal::Behaviours`] (a spin read can
-    /// race, so the race goal keeps every failed read).
-    fn reduced_moves(
-        &self,
-        state: &Self::State,
-        goal: ReductionGoal,
-        opts: &ExploreOptions,
-        truncated: &mut bool,
-    ) -> Reduced<Self::State> {
-        let _ = goal;
-        Reduced::full(self.moves(state, opts, truncated))
+    /// The value thread `k` reads from `loc`: its youngest buffered
+    /// store to `loc`, else shared memory.
+    fn read_value(&self, state: &Self::State, k: usize, loc: Loc) -> Value;
+
+    /// The thread holding monitor `m`, if any.
+    fn holder(&self, state: &Self::State, m: Monitor) -> Option<usize>;
+
+    /// Does thread `k` have a buffered store to `loc`?
+    fn has_buffered(&self, state: &Self::State, k: usize, loc: Loc) -> bool;
+
+    /// Are all of thread `k`'s buffers empty?
+    fn drained(&self, state: &Self::State, k: usize) -> bool;
+
+    /// Every enabled flush, in deterministic order.
+    fn flushes(&self, state: &Self::State) -> Vec<MachineMove>;
+
+    /// The label of a flush of `loc`. Per-location buffers name the
+    /// location (the default); a FIFO buffer drains "the oldest store"
+    /// (`MoveLabel::Flush(None)`).
+    fn flush_label(&self, loc: Loc) -> MoveLabel {
+        MoveLabel::Flush(Some(loc))
     }
 
-    /// Action fuel for the behaviour engines: `usize::MAX` when the
-    /// bounded semantics is exact (loop-free programs), else
-    /// `opts.max_actions`. Flush moves never consume fuel.
-    fn fuel(&self, opts: &ExploreOptions) -> usize;
-
-    /// Fuel for the race search and the census. The default is
-    /// [`fuel`](MemoryModel::fuel): buffered machines have an infinite
-    /// state space on loopy programs (buffers grow without bound), so
-    /// those searches must be fuel-bounded to terminate. SC overrides
-    /// this to `usize::MAX` — its program state space is finite even
-    /// with loops, and the searches are exact. That exactness is why
-    /// the checker answers the race question under every model with
-    /// the SC search (see [`lift_sc_witness`](MemoryModel::lift_sc_witness)).
-    fn search_fuel(&self, opts: &ExploreOptions) -> usize {
-        self.fuel(opts)
-    }
-
-    /// Lifts a race witness of the SC engine, found on the same
-    /// program, to a witness of this machine. §5 proves that write→read
-    /// reordering and read-after-write elimination preserve data race
-    /// freedom, and §8 that they are all TSO adds to SC, so a program
-    /// races on the buffered machines iff it races under SC. The lift
-    /// keeps [`witness`](ModelRaceWitness::witness), the SC
-    /// interleaving, and rewrites the schedule into this machine's
-    /// moves. The default is the identity (SC).
-    fn lift_sc_witness(&self, witness: ModelRaceWitness) -> ModelRaceWitness {
-        witness
-    }
-
-    /// The SC explorer of the program this model explores. Its
-    /// configuration cache is the one table of thread configurations
-    /// every model steps its threads through
-    /// ([`Configs`](crate::Configs)), and its race search answers the
-    /// race question under every model (see
-    /// [`lift_sc_witness`](MemoryModel::lift_sc_witness)), so the
-    /// phases of one analysis intern each configuration once.
-    fn explorer(&self) -> &ProgramExplorer<'_>;
+    /// The state after `mv`. A non-volatile write enters the writer's
+    /// buffer on a buffered machine and memory under SC; volatile
+    /// writes, locks and releasing unlocks take effect at once.
+    fn apply(&self, state: &Self::State, mv: &MachineMove) -> Self::State;
 }
 
 /// The previous normal access of the race searches, as
@@ -373,7 +365,7 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
         let mut interner: StateInterner<M::State> = StateInterner::new();
         let mut memo: FxHashMap<(u32, usize), Arc<Behaviours>> = FxHashMap::default();
         let mut truncated = false;
-        let fuel = self.model.fuel(opts);
+        let fuel = self.fuel(opts);
         let init = self.model.initial();
         let (id, _) = interner.intern_ref(&init);
         let set = self.suffixes(
@@ -431,9 +423,7 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
             return Arc::new(set);
         }
         guard.note_state_tallied(tally);
-        let red = self
-            .model
-            .reduced_moves(&state, ReductionGoal::Behaviours, opts, truncated);
+        let red = self.reduced_moves(&state, ReductionGoal::Behaviours, opts, truncated);
         tally.expansion(red.moves.len(), red.kind);
         tally.add(Counter::AwaitCollapsed, red.await_collapsed);
         tally.add(Counter::AwaitWakeups, red.await_wakeups);
@@ -512,14 +502,14 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
     /// is not a proof of freedom (callers consult the trip reason).
     ///
     /// Incompleteness from the model's
-    /// [`search_fuel`](MemoryModel::search_fuel) bound is **not**
+    /// [`search_fuel`](ModelExplorer::search_fuel) bound is **not**
     /// recorded: a subtree pruned at fuel 0 leaves the guard untripped.
     /// Under a fuel-bounded model (TSO/PSO on a loop-bearing program) a
     /// `None` is therefore no proof of freedom, and a run of the
     /// behaviour engine on the same guard need not trip the action
     /// bound on the subtrees pruned here. The checker's
     /// `Analysis` answers the race question with the exact SC search
-    /// instead (see [`MemoryModel::lift_sc_witness`]); this buffered
+    /// instead (see [`ModelExplorer::lift_sc_witness`]); this buffered
     /// search stays public as the test oracle of that equivalence.
     #[must_use]
     pub fn race_witness_governed(
@@ -540,7 +530,7 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
             None,
             0,
             0,
-            self.model.search_fuel(opts),
+            self.search_fuel(opts),
             opts,
             &mut interner,
             &mut visited,
@@ -604,8 +594,7 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
         }
         guard.note_state_tallied(tally);
         let Reduced { moves, kind, .. } =
-            self.model
-                .reduced_moves(&state, ReductionGoal::Races, opts, truncated);
+            self.reduced_moves(&state, ReductionGoal::Races, opts, truncated);
         tally.expansion(moves.len(), kind);
         drop(state);
         for mv in moves {
@@ -720,7 +709,7 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
 
     /// The number of distinct machine states reachable under the
     /// bounds. On buffered models with loops the walk is additionally
-    /// layered by [`search_fuel`](MemoryModel::search_fuel) to
+    /// layered by [`search_fuel`](ModelExplorer::search_fuel) to
     /// terminate; the count is still of distinct *states* (the
     /// interner's arena), not of fuel layers.
     #[must_use]
@@ -737,7 +726,7 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
         let mut interner: StateInterner<M::State> = StateInterner::new();
         let mut visited: FxHashSet<(u32, usize)> = FxHashSet::default();
         let mut truncated = false;
-        let fuel = self.model.search_fuel(opts);
+        let fuel = self.search_fuel(opts);
         let (root, _) = interner.intern(self.model.initial());
         visited.insert((root, fuel));
         let mut stack = vec![(root, fuel)];
@@ -747,7 +736,7 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
             }
             guard.note_state_tallied(&tally);
             let state = interner.get(id).clone();
-            let moves = self.model.moves(&state, opts, &mut truncated);
+            let moves = self.moves(&state, opts, &mut truncated);
             tally.expansion(moves.len(), ExpansionKind::Full);
             drop(state);
             for mv in moves {
@@ -795,87 +784,114 @@ impl<'m, M: MemoryModel> ModelExplorer<'m, M> {
 }
 
 // ---------------------------------------------------------------------
-// The SC backend: the compact ProgramExplorer machine behind the trait
+// The machine: moves, reduction, fuel and witness lift of every model
 // ---------------------------------------------------------------------
 
-/// The sequentially consistent backend: a zero-cost adapter over the
-/// compact [`ProgramExplorer`] machine (interned thread configs, word
-/// states, dynamic ample-set POR). [`ProgramExplorer`]'s public entry
-/// points are thin wrappers over `ModelExplorer<ScModel>`, so this
-/// backend *is* the production SC engine, not a parallel
-/// implementation of it.
-#[derive(Debug, Clone, Copy)]
-pub struct ScModel<'e, 'p> {
-    explorer: &'e ProgramExplorer<'p>,
-}
+impl<M: MemoryModel> ModelExplorer<'_, M> {
+    /// Does the model buffer stores? SC is the machine whose buffers
+    /// are always empty.
+    fn buffered(&self) -> bool {
+        self.model.kind() != MemoryModelKind::Sc
+    }
 
-impl<'e, 'p> ScModel<'e, 'p> {
-    /// Wraps a program explorer as a model backend.
+    /// All enabled moves of `state`, in deterministic order: every
+    /// flush, then each thread's start or act move. Volatile accesses,
+    /// locks and unlocks act as fences: they wait until the thread's
+    /// buffers have drained. Sets `*truncated` when a thread silently
+    /// diverges within `opts.max_tau` (its moves are dropped).
     #[must_use]
-    pub fn new(explorer: &'e ProgramExplorer<'p>) -> Self {
-        ScModel { explorer }
-    }
-
-    /// The model moves of `moves`, each applied to `state`.
-    fn model_moves(&self, state: &CState, moves: Vec<ThreadMove>) -> Vec<ModelMove<CState>> {
-        moves
-            .into_iter()
-            .map(|mv| ModelMove {
-                thread: mv.thread,
-                label: MoveLabel::Action(mv.action),
-                next: self.explorer.apply(state, &mv),
-            })
-            .collect()
-    }
-}
-
-impl MemoryModel for ScModel<'_, '_> {
-    type State = CState;
-
-    fn kind(&self) -> MemoryModelKind {
-        MemoryModelKind::Sc
-    }
-
-    fn initial(&self) -> Self::State {
-        self.explorer.initial_compact()
-    }
-
-    fn moves(
+    pub fn moves(
         &self,
-        state: &Self::State,
+        state: &M::State,
         opts: &ExploreOptions,
         truncated: &mut bool,
-    ) -> Vec<ModelMove<Self::State>> {
-        let mut moves = Vec::new();
-        let mut cfgs = self.explorer.configs(opts.max_tau);
-        self.explorer
-            .moves_into(&mut cfgs, state, &mut moves, truncated);
+    ) -> Vec<ModelMove<M::State>> {
+        let mut cfgs = self.model.explorer().configs(opts.max_tau);
+        let moves = self.machine_moves(&mut cfgs, state, truncated);
+        drop(cfgs);
         self.model_moves(state, moves)
     }
 
+    /// [`moves`](ModelExplorer::moves) in configuration ids, under the
+    /// caller's lock of the configuration table.
+    fn machine_moves(
+        &self,
+        cfgs: &mut Configs<'_>,
+        state: &M::State,
+        truncated: &mut bool,
+    ) -> Vec<MachineMove> {
+        let mut out = self.model.flushes(state);
+        for k in 0..self.model.explorer().program().thread_count() {
+            let drained = self.model.drained(state, k);
+            let mv = cfgs.thread_move(
+                k,
+                self.model.cfg(state, k),
+                |loc| (drained || !loc.is_volatile()).then(|| self.model.read_value(state, k, loc)),
+                |action| match *action {
+                    Action::Write { loc, .. } => drained || !loc.is_volatile(),
+                    Action::Lock(m) => {
+                        drained && self.model.holder(state, m).is_none_or(|h| h == k)
+                    }
+                    Action::Unlock(_) => drained,
+                    _ => true,
+                },
+                truncated,
+            );
+            out.extend(mv.map(MachineMove::Act));
+        }
+        out
+    }
+
+    /// The model moves of `moves`, each applied to `state`.
+    fn model_moves(&self, state: &M::State, moves: Vec<MachineMove>) -> Vec<ModelMove<M::State>> {
+        moves
+            .into_iter()
+            .map(|mv| {
+                let (thread, label) = match mv {
+                    MachineMove::Act(act) => (act.thread, MoveLabel::Action(act.action)),
+                    MachineMove::Flush { thread, loc } => (thread, self.model.flush_label(loc)),
+                };
+                ModelMove {
+                    thread,
+                    label,
+                    next: self.model.apply(state, &mv),
+                }
+            })
+            .collect()
+    }
+
+    /// The reduced moves of `state` for `goal`: the reduction of the
+    /// module doc, then the await stutter collapse. The reduction is off
+    /// with `opts.por == false`, and for the race goal on a buffered
+    /// machine. The collapse is orthogonal to it: it applies to the
+    /// behaviour goal even with `por == false` (it is a stutter removal,
+    /// not an ample-set choice), and never to the race goal (a spin
+    /// read can race, so the race search keeps every failed read
+    /// adjacent to the writes of the watched location). A self-loop
+    /// read never passes the ast-size proviso, so it is never the ample
+    /// singleton, and collapsing after the reduction drops nothing the
+    /// reduction relied on. Both run on the id-level moves, under one
+    /// lock of the configuration table, so only the surviving moves
+    /// build a successor state.
     fn reduced_moves(
         &self,
-        state: &Self::State,
+        state: &M::State,
         goal: ReductionGoal,
         opts: &ExploreOptions,
         truncated: &mut bool,
-    ) -> Reduced<Self::State> {
-        let mut moves = Vec::new();
-        let mut cfgs = self.explorer.configs(opts.max_tau);
-        self.explorer
-            .moves_into(&mut cfgs, state, &mut moves, truncated);
-        // The SC POR serves both goals: there are no flushes, so the
-        // race-goal witness argument (check-before-carry plus reorder)
-        // holds for the same ample sets that preserve behaviours.
-        let kind = self.explorer.por_reduce(&mut cfgs, state, opts, &mut moves);
-        // The await collapse serves only the behaviour goal: a spin
-        // read can race, so the race search keeps every failed read
-        // adjacent to the writes of the watched location. A self-loop
-        // read never passes the ast-size proviso, so it is never the
-        // ample singleton and collapsing after the POR drops nothing
-        // the reduction relied on.
+    ) -> Reduced<M::State> {
+        let mut cfgs = self.model.explorer().configs(opts.max_tau);
+        let mut moves = self.machine_moves(&mut cfgs, state, truncated);
+        let kind = if opts.por && (goal == ReductionGoal::Behaviours || !self.buffered()) {
+            self.reduce(&mut cfgs, state, &mut moves)
+        } else {
+            ExpansionKind::Full
+        };
         let (await_collapsed, await_wakeups) = if goal == ReductionGoal::Behaviours && opts.awaits {
-            cfgs.collapse_awaits(&mut moves, |mv| Some((*mv, state.cfg(mv.thread))))
+            cfgs.collapse_awaits(&mut moves, |mv| match *mv {
+                MachineMove::Act(act) => Some((act, self.model.cfg(state, act.thread))),
+                MachineMove::Flush { .. } => None,
+            })
         } else {
             (0, 0)
         };
@@ -888,18 +904,274 @@ impl MemoryModel for ScModel<'_, '_> {
         }
     }
 
-    fn fuel(&self, opts: &ExploreOptions) -> usize {
-        self.explorer.fuel(opts)
+    /// Narrows `moves` to a singleton ample set — a commuting flush,
+    /// else the lowest-indexed invisible act that passes the cycle
+    /// proviso — or leaves them all. Each thread has at most one act
+    /// here (the semantics is deterministic per thread given what it
+    /// reads), so an invisible act is stable: no other thread's move
+    /// can disable it. Returns how the expansion was
+    /// reduced ([`ExpansionKind::FullProviso`] when only the proviso
+    /// blocked a singleton). The choice is a pure function of the
+    /// state, keeping memoisation exact.
+    fn reduce(
+        &self,
+        cfgs: &mut Configs<'_>,
+        state: &M::State,
+        moves: &mut Vec<MachineMove>,
+    ) -> ExpansionKind {
+        // Commuting-flush singleton: nobody but the flusher can ever
+        // observe the drained location.
+        let flush = moves.iter().position(|mv| match *mv {
+            MachineMove::Flush { thread, loc } => self.others_avoid(cfgs, state, thread, |j, m| {
+                m.accesses.contains(&loc) || self.model.has_buffered(state, j, loc)
+            }),
+            MachineMove::Act(_) => false,
+        });
+        if let Some(i) = flush {
+            let mv = moves[i];
+            moves.clear();
+            moves.push(mv);
+            return ExpansionKind::AmpleFlush;
+        }
+        // Invisible-act singleton, gated by the cycle proviso.
+        let mut saw_invisible = false;
+        for i in 0..moves.len() {
+            let MachineMove::Act(act) = moves[i] else {
+                continue;
+            };
+            if !self.invisible(cfgs, state, &act) {
+                continue;
+            }
+            saw_invisible = true;
+            if self.proviso_ok(cfgs, state, &act) {
+                moves.clear();
+                moves.push(MachineMove::Act(act));
+                return ExpansionKind::Ample;
+            }
+        }
+        if saw_invisible {
+            ExpansionKind::FullProviso
+        } else {
+            ExpansionKind::Full
+        }
     }
 
-    fn search_fuel(&self, _opts: &ExploreOptions) -> usize {
-        // The SC program state space is finite (values are drawn from
-        // program constants), so the race search and census are exact
-        // without fuel.
-        usize::MAX
+    /// Is `mv` dynamically invisible at `state`?
+    ///
+    /// A move of thread `k` is dynamically invisible when no move any
+    /// other thread can **still** perform changes, disables, observes or
+    /// conflicts with it: a start always; a non-volatile read when no
+    /// other thread's remaining code writes the location and no other
+    /// thread has buffered a store to it; a non-volatile write when the
+    /// machine buffers it (it only appends to the writer's own buffer;
+    /// its visibility happens at the separate flush) or no other
+    /// thread's remaining code accesses the location; a lock or unlock
+    /// when no other thread can use the monitor; an output when no
+    /// other thread can emit output. Volatile accesses are never
+    /// invisible. The predicate retires as threads advance: a location
+    /// stops being contended the moment its last foreign accessor has
+    /// moved past its accesses. Under SC it mirrors
+    /// `transafety_interleaving::Explorer`'s predicate; see
+    /// `docs/paper-mapping.md` for the soundness argument.
+    ///
+    /// A read that thread `k` would forward from its own buffer is
+    /// *not* invisible on that ground alone: the forwarded value holds
+    /// only while `k`'s entry stays buffered. In the order where `k`
+    /// flushes the entry, another thread's write to the location then
+    /// lands in memory, and only then `k` reads, the read returns the
+    /// foreign value. That order starts with a move dependent on the
+    /// read (the flush changes what it returns), so choosing the
+    /// forwarded read as a singleton ample set would violate the
+    /// ample-set condition C1 and prune the order's behaviours.
+    fn invisible(&self, cfgs: &mut Configs<'_>, state: &M::State, mv: &ThreadMove) -> bool {
+        let k = mv.thread;
+        match mv.action {
+            Action::Start(_) => true,
+            Action::Read { loc, .. } | Action::Write { loc, .. } if loc.is_volatile() => false,
+            // No other thread may ever write (or have buffered) the
+            // location — even when the read would be forwarded from
+            // the own buffer, which `k` may flush before a foreign
+            // write lands.
+            Action::Read { loc, .. } => self.others_avoid(cfgs, state, k, |j, m| {
+                m.writes.contains(&loc) || self.model.has_buffered(state, j, loc)
+            }),
+            Action::Write { loc, .. } => {
+                self.buffered()
+                    || self.others_avoid(cfgs, state, k, |_, m| m.accesses.contains(&loc))
+            }
+            Action::Lock(mon) | Action::Unlock(mon) => {
+                self.others_avoid(cfgs, state, k, |_, m| m.monitors.contains(&mon))
+            }
+            Action::External(_) => self.others_avoid(cfgs, state, k, |_, m| m.externals),
+        }
+    }
+
+    /// Does no thread but `k` meet `touches`, asked of each other
+    /// thread `j` with the footprint of its remaining code? Footprints
+    /// are fetched one thread at a time, so a conflict found early
+    /// fetches no more.
+    fn others_avoid(
+        &self,
+        cfgs: &mut Configs<'_>,
+        state: &M::State,
+        k: usize,
+        touches: impl Fn(usize, &CfgMeta) -> bool,
+    ) -> bool {
+        (0..self.model.explorer().program().thread_count())
+            .all(|j| j == k || !touches(j, &cfgs.meta(j, self.model.cfg(state, j))))
+    }
+
+    /// The ast-size cycle proviso: may `mv` be an ample singleton
+    /// without risking the ignoring problem? `Start` moves are one-shot
+    /// (a thread starts at most once), and every other ample move must
+    /// strictly shrink the moving thread's remaining AST — so the sum
+    /// of remaining sizes is a well-founded measure that strictly
+    /// decreases along any ample-only path, and every cycle of the
+    /// reduced state graph (a loop iteration maps a configuration back
+    /// to itself, size unchanged) contains a fully expanded state.
+    fn proviso_ok(&self, cfgs: &mut Configs<'_>, state: &M::State, mv: &ThreadMove) -> bool {
+        if matches!(mv.action, Action::Start(_)) {
+            return true;
+        }
+        let cur = cfgs
+            .meta(mv.thread, self.model.cfg(state, mv.thread))
+            .ast_size;
+        cfgs.meta(mv.thread, mv.next_cfg).ast_size < cur
+    }
+
+    /// Action fuel for the behaviour engines, under every model: the
+    /// explorer's [`fuel`](ProgramExplorer::fuel). Flush moves never
+    /// consume fuel.
+    #[must_use]
+    pub fn fuel(&self, opts: &ExploreOptions) -> usize {
+        self.model.explorer().fuel(opts)
+    }
+
+    /// Fuel for the race search and the census. SC's program state
+    /// space is finite even with loops (values are drawn from program
+    /// constants), so those searches are exact and take `usize::MAX`.
+    /// A buffered machine has an infinite state space on loopy programs
+    /// (buffers grow without bound), so there they are bounded by
+    /// [`fuel`](ModelExplorer::fuel) to terminate. That exactness is why
+    /// the checker answers the race question under every model with the
+    /// SC search (see [`lift_sc_witness`](ModelExplorer::lift_sc_witness)).
+    #[must_use]
+    pub fn search_fuel(&self, opts: &ExploreOptions) -> usize {
+        if self.buffered() {
+            self.fuel(opts)
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// Lifts a race witness of the SC engine, found on the same
+    /// program, to a witness of this machine. §5 proves that write→read
+    /// reordering and read-after-write elimination preserve data race
+    /// freedom, and §8 that they are all TSO adds to SC, so a program
+    /// races on the buffered machines iff it races under SC. The lift
+    /// keeps [`witness`](ModelRaceWitness::witness), the SC
+    /// interleaving, and schedules its actions in the same order, each
+    /// non-volatile store flushed by its thread right after it is
+    /// buffered, so memory always equals the SC memory and every read
+    /// returns its SC value. The racing access that ends the witness
+    /// stays buffered. Nothing is buffered under SC, so there the lift
+    /// is the identity.
+    #[must_use]
+    pub fn lift_sc_witness(&self, sc: ModelRaceWitness) -> ModelRaceWitness {
+        if !self.buffered() {
+            return sc;
+        }
+        let events = sc.witness.execution.events();
+        let mut schedule = Vec::with_capacity(2 * events.len());
+        for (i, event) in events.iter().enumerate() {
+            let thread = event.thread().index() as usize;
+            let action = event.action();
+            schedule.push(ScheduleStep {
+                thread,
+                label: MoveLabel::Action(action),
+            });
+            if let Action::Write { loc, .. } = action {
+                if !loc.is_volatile() && i + 1 < events.len() {
+                    schedule.push(ScheduleStep {
+                        thread,
+                        label: self.model.flush_label(loc),
+                    });
+                }
+            }
+        }
+        ModelRaceWitness {
+            witness: sc.witness,
+            schedule,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The SC backend: the compact ProgramExplorer machine behind the trait
+// ---------------------------------------------------------------------
+
+/// The sequentially consistent backend: the memory layer of the compact
+/// [`ProgramExplorer`] machine (interned thread configs, word states),
+/// with store buffers that are always empty. [`ProgramExplorer`]'s
+/// public entry points are thin wrappers over `ModelExplorer<ScModel>`,
+/// so this backend *is* the production SC engine, not a parallel
+/// implementation of it.
+#[derive(Debug, Clone, Copy)]
+pub struct ScModel<'e, 'p> {
+    explorer: &'e ProgramExplorer<'p>,
+}
+
+impl<'e, 'p> ScModel<'e, 'p> {
+    /// Wraps a program explorer as a model backend.
+    #[must_use]
+    pub fn new(explorer: &'e ProgramExplorer<'p>) -> Self {
+        ScModel { explorer }
+    }
+}
+
+impl MemoryModel for ScModel<'_, '_> {
+    type State = CState;
+
+    fn kind(&self) -> MemoryModelKind {
+        MemoryModelKind::Sc
     }
 
     fn explorer(&self) -> &ProgramExplorer<'_> {
         self.explorer
+    }
+
+    fn initial(&self) -> CState {
+        self.explorer.initial_compact()
+    }
+
+    fn cfg(&self, state: &CState, k: usize) -> CfgId {
+        state.cfg(k)
+    }
+
+    fn read_value(&self, state: &CState, _k: usize, loc: Loc) -> Value {
+        self.explorer.mem(state, loc)
+    }
+
+    fn holder(&self, state: &CState, m: Monitor) -> Option<usize> {
+        self.explorer.holder(state, m)
+    }
+
+    fn has_buffered(&self, _state: &CState, _k: usize, _loc: Loc) -> bool {
+        false
+    }
+
+    fn drained(&self, _state: &CState, _k: usize) -> bool {
+        true
+    }
+
+    fn flushes(&self, _state: &CState) -> Vec<MachineMove> {
+        Vec::new()
+    }
+
+    fn apply(&self, state: &CState, mv: &MachineMove) -> CState {
+        match mv {
+            MachineMove::Act(act) => self.explorer.apply(state, act),
+            MachineMove::Flush { .. } => unreachable!("nothing is buffered under SC"),
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The congruence-closure rewrite engine (the Fig. 9 transformation
 //! template) and transformation-sequence enumeration.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::fmt;
 
 use transafety_lang::{Program, Stmt};
@@ -219,29 +219,23 @@ pub fn transform_closure_filtered<F: Fn(RuleName) -> bool>(
     depth: usize,
     admit: F,
 ) -> Vec<Program> {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut order: Vec<Program> = Vec::new();
-    let mut frontier = vec![program.clone()];
-    seen.insert(format!("{program:?}"));
-    order.push(program.clone());
+    let mut order = vec![program.clone()];
+    let mut seen: HashSet<Program> = HashSet::from([program.clone()]);
+    let mut frontier = 0..1;
     for _ in 0..depth {
-        let mut next = Vec::new();
-        for p in &frontier {
-            for rw in rewrites(p, RuleSet::All) {
-                if !admit(rw.rule) {
-                    continue;
-                }
-                let key = format!("{:?}", rw.result);
-                if seen.insert(key) {
-                    order.push(rw.result.clone());
-                    next.push(rw.result);
+        let start = order.len();
+        for i in frontier {
+            for rw in rewrites(&order[i], RuleSet::All) {
+                if admit(rw.rule) && !seen.contains(&rw.result) {
+                    seen.insert(rw.result.clone());
+                    order.push(rw.result);
                 }
             }
         }
-        if next.is_empty() {
+        if order.len() == start {
             break;
         }
-        frontier = next;
+        frontier = start..order.len();
     }
     order
 }

@@ -4,14 +4,17 @@
 //! reordering plus forwarding elimination; PSO adds write→write
 //! reordering).
 //!
-//! The machines add store buffers to the memory only. A thread steps as
-//! it does under SC, so each model owns the program's
-//! [`ProgramExplorer`](transafety_lang::ProgramExplorer) and steps its
-//! threads through that explorer's configuration cache
-//! ([`Configs`](transafety_lang::Configs)), with SC's fuel policy and
-//! await collapse. This crate holds what differs: the buffers and their
-//! flushes, the fence rule, the buffered partial-order reduction and the
-//! lift of an SC race witness to a buffered schedule.
+//! The machines add store buffers to the memory only; SC is the machine
+//! whose buffers are always empty. Each model owns the program's
+//! [`ProgramExplorer`](transafety_lang::ProgramExplorer), whose
+//! configuration table holds its threads, and answers the memory
+//! questions of [`MemoryModel`](transafety_lang::MemoryModel): what a
+//! thread reads (store-to-load forwarding), what it has buffered, which
+//! flushes are enabled and how a move changes the state. Everything
+//! else — the move generator with its fence rule, the partial-order
+//! reduction, the fuel policy and the lift of an SC race witness to a
+//! buffered schedule — is the one generic implementation of
+//! [`ModelExplorer`](transafety_lang::ModelExplorer), shared with SC.
 //!
 //! # Example
 //!
@@ -36,13 +39,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffered;
 mod explain;
 mod machine;
-mod model;
 mod pso;
 
 pub use explain::{explain, Explanation};
-pub use machine::TsoState;
-pub use model::{PsoModel, TsoModel};
-pub use pso::PsoState;
+pub use machine::{TsoModel, TsoState};
+pub use pso::{PsoModel, PsoState};

@@ -7,28 +7,40 @@
 //! location, so stores to different locations may drain out of order.
 //! The corresponding transformation fragment adds the W→W reordering
 //! rule (R-WW) to TSO's W→R + forwarding fragment;
-//! [`explain`](crate::explain) over a [`PsoModel`](crate::PsoModel) checks that this
+//! [`explain`](crate::explain) over a [`PsoModel`] checks that this
 //! fragment explains every PSO behaviour, supporting the paper's
 //! conjecture on the corpus.
 
 use std::collections::BTreeMap;
 
-use transafety_lang::{CfgId, MoveLabel, NOT_STARTED};
-use transafety_traces::{Action, Loc, Monitor, Value};
+use transafety_lang::{CfgId, MachineMove, MemoryModel, Program, ProgramExplorer, NOT_STARTED};
+use transafety_traces::{Action, Loc, MemoryModelKind, Monitor, Value};
 
-use crate::buffered::{apply_act, BufferedMove, Machine};
+use crate::machine::{apply_act, forwarded};
 
 /// A PSO machine state: per-thread configuration ids (of the program's
-/// configuration table, see [`Configs`](transafety_lang::Configs)),
-/// per-thread **per-location** FIFO
-/// store buffers with forwarding, shared memory, and the monitor holder
+/// configuration table), per-thread **per-location** FIFO store
+/// buffers with forwarding, shared memory, and the monitor holder
 /// table. Locks, unlocks and volatile accesses drain all of the
 /// thread's buffers.
 ///
 /// Public only as the opaque
 /// [`MemoryModel::State`](transafety_lang::MemoryModel) of the
-/// [`PsoModel`](crate::PsoModel) backend; its contents are an internal
-/// encoding.
+/// [`PsoModel`] backend; its contents are an internal encoding.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PsoState {
+    threads: Vec<CfgId>,
+    /// Per thread, the buffered stores ordered by location and FIFO
+    /// within a location: one queue per location, flattened.
+    buffers: Vec<Vec<(Loc, Value)>>,
+    memory: BTreeMap<Loc, Value>,
+    holders: BTreeMap<Monitor, usize>,
+}
+
+/// The PSO machine (per-thread **per-location** FIFO store buffers) as
+/// a [`MemoryModel`] backend. Flush moves carry the drained location in
+/// their [`MoveLabel::Flush`](transafety_lang::MoveLabel) label, so a
+/// PSO witness schedule shows which buffer drained at each step.
 ///
 /// # Example
 ///
@@ -50,18 +62,36 @@ use crate::buffered::{apply_act, BufferedMove, Machine};
 /// assert!(ModelExplorer::new(&pso).behaviours(&opts).value.contains(&stale));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PsoState {
-    threads: Vec<CfgId>,
-    /// Per thread, the buffered stores ordered by location and FIFO
-    /// within a location: one queue per location, flattened.
-    buffers: Vec<Vec<(Loc, Value)>>,
-    memory: BTreeMap<Loc, Value>,
-    holders: BTreeMap<Monitor, usize>,
+#[derive(Debug)]
+pub struct PsoModel<'p> {
+    /// The program's SC explorer: its configuration table holds every
+    /// thread configuration the machine stores.
+    explorer: ProgramExplorer<'p>,
 }
 
-impl Machine for PsoState {
-    fn initial(threads: usize) -> Self {
+impl<'p> PsoModel<'p> {
+    /// Creates the PSO backend for the program.
+    #[must_use]
+    pub fn new(program: &'p Program) -> Self {
+        PsoModel {
+            explorer: ProgramExplorer::new(program),
+        }
+    }
+}
+
+impl MemoryModel for PsoModel<'_> {
+    type State = PsoState;
+
+    fn kind(&self) -> MemoryModelKind {
+        MemoryModelKind::Pso
+    }
+
+    fn explorer(&self) -> &ProgramExplorer<'_> {
+        &self.explorer
+    }
+
+    fn initial(&self) -> PsoState {
+        let threads = self.explorer.program().thread_count();
         PsoState {
             threads: vec![NOT_STARTED; threads],
             buffers: vec![Vec::new(); threads],
@@ -70,55 +100,51 @@ impl Machine for PsoState {
         }
     }
 
-    fn threads(&self) -> &[CfgId] {
-        &self.threads
+    fn cfg(&self, state: &PsoState, k: usize) -> CfgId {
+        state.threads[k]
     }
 
-    fn holders(&self) -> &BTreeMap<Monitor, usize> {
-        &self.holders
+    fn read_value(&self, state: &PsoState, k: usize, loc: Loc) -> Value {
+        forwarded(state.buffers[k].iter(), loc)
+            .unwrap_or_else(|| state.memory.get(&loc).copied().unwrap_or(Value::ZERO))
     }
 
-    fn has_buffered(&self, k: usize, loc: Loc) -> bool {
-        self.buffers[k].iter().any(|(l, _)| *l == loc)
+    fn holder(&self, state: &PsoState, m: Monitor) -> Option<usize> {
+        state.holders.get(&m).copied()
     }
 
-    fn drained(&self, k: usize) -> bool {
-        self.buffers[k].is_empty()
+    fn has_buffered(&self, state: &PsoState, k: usize, loc: Loc) -> bool {
+        state.buffers[k].iter().any(|(l, _)| *l == loc)
     }
 
-    fn read_value(&self, k: usize, loc: Loc) -> Value {
-        self.buffers[k]
-            .iter()
-            .rev()
-            .find(|(l, _)| *l == loc)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| self.memory.get(&loc).copied().unwrap_or(Value::ZERO))
+    fn drained(&self, state: &PsoState, k: usize) -> bool {
+        state.buffers[k].is_empty()
     }
 
     /// The oldest store of every non-empty per-location buffer.
-    fn flushes(&self) -> Vec<BufferedMove> {
+    fn flushes(&self, state: &PsoState) -> Vec<MachineMove> {
         let mut out = Vec::new();
-        for (k, buffer) in self.buffers.iter().enumerate() {
+        for (k, buffer) in state.buffers.iter().enumerate() {
             for (i, &(loc, _)) in buffer.iter().enumerate() {
                 if i == 0 || buffer[i - 1].0 != loc {
-                    out.push(BufferedMove::Flush { thread: k, loc });
+                    out.push(MachineMove::Flush { thread: k, loc });
                 }
             }
         }
         out
     }
 
-    fn apply(&self, mv: &BufferedMove) -> PsoState {
-        let mut next = self.clone();
+    fn apply(&self, state: &PsoState, mv: &MachineMove) -> PsoState {
+        let mut next = state.clone();
         match mv {
-            BufferedMove::Flush { thread, loc } => {
+            MachineMove::Flush { thread, loc } => {
                 let buffer = &mut next.buffers[*thread];
                 if let Some(i) = buffer.iter().position(|(l, _)| l == loc) {
                     let (_, v) = buffer.remove(i);
                     next.memory.insert(*loc, v);
                 }
             }
-            BufferedMove::Act(act) => {
+            MachineMove::Act(act) => {
                 if let Action::Write { loc, value } = act.action {
                     if !loc.is_volatile() {
                         // Behind the youngest store to the same location.
@@ -131,10 +157,6 @@ impl Machine for PsoState {
             }
         }
         next
-    }
-
-    fn flush_label(loc: Loc) -> MoveLabel {
-        MoveLabel::Flush(Some(loc))
     }
 }
 

@@ -12,7 +12,10 @@
 //! free reports its SC behaviour set, pinned here against the buffered
 //! behaviour engine. Every model steps its threads through its program
 //! explorer's one configuration table, so one model serving every phase
-//! of an analysis must answer as fresh models do.
+//! of an analysis must answer as fresh models do. SC is the buffered
+//! machine whose buffers stay empty, so on a program whose locations
+//! are all volatile the buffered behaviour engines must walk SC's state
+//! graph and count as SC does.
 
 mod support;
 
@@ -20,11 +23,11 @@ use support::{capped_budget, configs, seeds, DEFAULT_SEEDS, JOBS};
 use transafety::checker::Analysis;
 use transafety::interleaving::{Behaviours, BudgetGuard, Event, ExploreMetrics, ExploreStats};
 use transafety::lang::{
-    Bounded, ExploreOptions, MemoryModel, ModelExplorer, ModelRaceWitness, Program,
-    ProgramExplorer, ScModel,
+    parse_program, Bounded, ExploreOptions, MemoryModel, ModelExplorer, ModelRaceWitness, Program,
+    ProgramExplorer, ScModel, Stmt,
 };
 use transafety::litmus::{corpus, random_program, GeneratorConfig};
-use transafety::traces::{MemoryModelKind, ThreadId};
+use transafety::traces::{Loc, MemoryModelKind, ThreadId};
 use transafety::tso::{explain, PsoModel, TsoModel};
 use transafety::{
     AnalysisReport, Budget, BudgetBound, CancelToken, CensusReport, Completeness, TruncationReason,
@@ -298,7 +301,7 @@ fn assert_schedule_replays<M: MemoryModel>(machine: &M, witness: &ModelRaceWitne
     let mut state = machine.initial();
     for (i, step) in witness.schedule.iter().enumerate() {
         let mut truncated = false;
-        let next = machine
+        let next = ModelExplorer::new(machine)
             .moves(&state, &opts, &mut truncated)
             .into_iter()
             .find(|mv| mv.thread == step.thread && mv.label == step.label);
@@ -354,7 +357,8 @@ fn assert_sc_first_race_phase<M: MemoryModel>(
     let oracle = ModelExplorer::new(machine).race_witness_governed(&opts, &guard);
     // A buffered witness is conclusive; a `None` proves freedom only
     // when neither a bound nor the search fuel cut the search short.
-    let oracle_exact = guard.trip_reason().is_none() && machine.search_fuel(&opts) == usize::MAX;
+    let oracle_exact = guard.trip_reason().is_none()
+        && ModelExplorer::new(machine).search_fuel(&opts) == usize::MAX;
     let compared = races.completeness.is_complete() && (oracle.is_some() || oracle_exact);
     if compared {
         assert_eq!(
@@ -600,7 +604,7 @@ fn assert_shared_model_matches_fresh<M: MemoryModel>(model: &M, program: &Progra
     let (race, stats) = governed(&analysis, |g| {
         let sc = ScModel::new(model.explorer());
         let witness = ModelExplorer::new(&sc).race_witness_governed(opts, g)?;
-        Some(model.lift_sc_witness(witness))
+        Some(mx.lift_sc_witness(witness))
     });
     let fresh = analysis.races(program);
     assert_eq!(race, fresh.output, "{what}: race witness");
@@ -647,4 +651,131 @@ fn one_model_serves_every_phase_as_fresh_models_do() {
             &format!("{name} pso"),
         );
     }
+}
+
+/// The index offset [`all_volatile`] gives a normal location, so it
+/// stays apart from the program's own volatile locations.
+const VOLATILE_BASE: u32 = 1 << 16;
+
+/// `program` with every location volatile. Nothing is ever buffered
+/// then, so the TSO and PSO machines are the SC machine.
+fn all_volatile(program: &Program) -> Program {
+    fn loc(l: Loc) -> Loc {
+        if l.is_volatile() {
+            l
+        } else {
+            Loc::volatile(VOLATILE_BASE + l.index())
+        }
+    }
+    fn stmt(s: &Stmt) -> Stmt {
+        match s {
+            Stmt::Store { loc: l, src } => Stmt::Store {
+                loc: loc(*l),
+                src: *src,
+            },
+            Stmt::Load { dst, loc: l } => Stmt::Load {
+                dst: *dst,
+                loc: loc(*l),
+            },
+            Stmt::Block(b) => Stmt::Block(b.iter().map(stmt).collect()),
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => Stmt::If {
+                cond: *cond,
+                then_branch: Box::new(stmt(then_branch)),
+                else_branch: Box::new(stmt(else_branch)),
+            },
+            Stmt::While { cond, body } => Stmt::While {
+                cond: *cond,
+                body: Box::new(stmt(body)),
+            },
+            other => other.clone(),
+        }
+    }
+    Program::new(
+        program
+            .threads()
+            .iter()
+            .map(|t| t.iter().map(stmt).collect())
+            .collect(),
+    )
+}
+
+/// The counters of a behaviour phase that depend on the state graph and
+/// the reduction alone. The interner's probe counts are left out: SC and
+/// the buffered machines encode equal states differently.
+fn graph_counters(stats: &ExploreStats) -> [u64; 7] {
+    [
+        stats.states_visited,
+        stats.moves_generated,
+        stats.por_ample_hits,
+        stats.por_full_expansions,
+        stats.dpor_proviso_blocks,
+        stats.await_collapsed,
+        stats.await_wakeups,
+    ]
+}
+
+/// SC is the buffered machine whose buffers stay empty. On a program
+/// whose locations are all volatile nothing is ever buffered, so the
+/// TSO and PSO behaviour engines must walk SC's state graph with SC's
+/// reduction and await collapse: the same behaviour set, the same
+/// completeness and the same graph counters.
+#[test]
+fn volatile_programs_explore_the_sc_graph_under_every_model() {
+    let spin = "volatile flag; volatile a;
+                a := 1; flag := 1; a := 2;
+                || while (flag != 1) skip; r2 := a; print r2;
+                || lock m; r3 := a; unlock m; print r3;";
+    let shapes = [
+        GeneratorConfig::default(),
+        GeneratorConfig::drf(),
+        GeneratorConfig::with_volatiles(),
+        GeneratorConfig::with_loops(),
+        GeneratorConfig::with_awaits(),
+    ];
+    let generated = (0..seeds()).map(|seed| {
+        let shape = &shapes[usize::try_from(seed).unwrap() % shapes.len()];
+        (format!("seed {seed}"), random_program(seed, shape))
+    });
+    let litmus = corpus()
+        .into_iter()
+        .map(|l| (format!("litmus {}", l.name), l.parse().program));
+    let named = std::iter::once((
+        "volatile spin".to_string(),
+        parse_program(spin).unwrap().program,
+    ));
+    // A state cap only: a wall-clock bound could cut the runs at
+    // different states.
+    let budget = Budget::unlimited().max_states(200_000);
+    let mut awaits = 0;
+    for (name, program) in named.chain(litmus).chain(generated) {
+        let program = all_volatile(&program);
+        let run = |model| {
+            Analysis::new()
+                .model(model)
+                .budget(budget)
+                .metrics(true)
+                .behaviours(&program)
+        };
+        let sc = run(MemoryModelKind::Sc);
+        awaits += u64::from(sc.stats.await_collapsed > 0);
+        for model in [MemoryModelKind::Tso, MemoryModelKind::Pso] {
+            let buffered = run(model);
+            let what = format!("{name} {model}");
+            assert_eq!(buffered.output, sc.output, "{what}: behaviours");
+            assert_eq!(
+                buffered.completeness, sc.completeness,
+                "{what}: completeness"
+            );
+            assert_eq!(
+                graph_counters(&buffered.stats),
+                graph_counters(&sc.stats),
+                "{what}: graph counters"
+            );
+        }
+    }
+    assert!(awaits > 0, "no case collapsed an await");
 }

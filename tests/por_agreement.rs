@@ -78,7 +78,7 @@ fn assert_exact_witnesses<M: MemoryModel>(
             .por(por)
             .races(program)
             .output
-            .map(|w| machine.lift_sc_witness(w));
+            .map(|w| ModelExplorer::new(machine).lift_sc_witness(w));
         let (race, schedule) = lifted.map(|w| (w.witness, w.schedule)).unzip();
         assert_eq!(report.race, race, "{what} por={por}: lifted SC witness");
         assert_eq!(
